@@ -1,6 +1,6 @@
 """Run one workload of the mrfrecon benchmark and print its metrics.
 
-    python3 perfbench/run.py --workload radial48 --seed 1 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload radial32 --seed 1 --seconds 36 --trace 0
 
 Run it from the root of a checkout; it imports the package from ``src/``.
 Human-readable lines come first. The last line of standard output is one JSON
@@ -82,19 +82,21 @@ def main(argv=None):
         metrics = {n: {"value": v, "unit": u} for n, (v, u) in layer.items()}
         run.tracer.write(out_dir / f"spans-{tag}.csv.gz")
         for name in sorted(run.tracer.hook_errors):
-            print(f"warning: computed counts of {name} could not be taken", file=sys.stderr)
+            print(f"error: {name} could not be traced or counted", file=sys.stderr)
     else:
         e2e, per_op = workload.end_to_end(run), []
-        rows = [(n, v, u, f"median of {k}" if u == "s" else "") for n, (v, u, k) in e2e.items()]
+        rows = [(n, v, u, note) for n, (v, u, note) in e2e.items()]
         metrics = {n: {"value": v, "unit": u} for n, (v, u, _) in e2e.items()}
     result = {
-        "correct": run.failed == 0,
+        # a traced run whose hooks no longer fit the program reports wrong layers
+        "correct": run.failed == 0 and not run.tracer.hook_errors,
         "attempted": run.attempted,
         "failed": run.failed,
         "metrics": metrics,
     }
     (out_dir / f"result-{tag}.json").write_text(json.dumps(
-        {**result, "environment": env, "samples": run.samples, "per_op": per_op}, indent=1))
+        {**result, "environment": env, "samples": run.samples,
+         "sample_refs": run.sample_refs, "reference_s": run.reference.times, "per_op": per_op}, indent=1))
     report(f"workload={args.workload} seed={args.seed} trace={args.trace}", rows, env, result, per_op)
     print(json.dumps(result))
     return 0

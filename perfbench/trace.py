@@ -51,7 +51,9 @@ CLASS_LAYER = {
     "nufft.CartesianExactPlan": "nufft.plan",
 }
 
-FFT_FUNCTIONS = ("fft", "ifft", "fft2", "ifft2")
+# transforms on complex data; every other scipy.fft transform has real input
+# or real output and is counted at half the flops
+COMPLEX_FFTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn")
 
 
 # ---------------------------------------------------------------------------
@@ -93,15 +95,35 @@ def _plan_counts():
     return hook
 
 
-def _fft_counts(two_d):
+def _is_transform(obj):
+    """True for the scipy.fft transforms: public functions of `x` with `workers`."""
+    try:
+        params = list(inspect.signature(obj).parameters)
+    except (TypeError, ValueError):
+        return False
+    return params[:1] == ["x"] and "workers" in params
+
+
+def _fft_counts(fn):
+    sig = inspect.signature(fn)
+    share = 1.0 if fn.__name__ in COMPLEX_FFTS else 0.5
+
     def hook(tracer, args, kwargs, result):
-        if two_d:
-            length = result.shape[-1] * result.shape[-2]
+        a = sig.bind(*args, **kwargs)
+        a.apply_defaults()
+        a = a.arguments
+        x = a["x"]
+        full = x if x.size >= result.size else result  # the longer side of the transform
+        if "axis" in a:
+            axes = (a["axis"],)
+        elif a["axes"] is not None:
+            axes = a["axes"]
         else:
-            length = result.shape[kwargs.get("axis", -1)]
-        transforms = result.size // length
+            axes = range(-len(a["s"]), 0) if a.get("s") is not None else range(full.ndim)
+        length = math.prod(full.shape[ax] for ax in axes)
+        transforms = full.size // length
         # nominal radix-2 count, 5 n log2 n real flops per complex transform
-        tracer.count("nufft.fft.flops", 5 * length * math.log2(length) * transforms)
+        tracer.count("nufft.fft.flops", share * 5 * length * math.log2(length) * transforms)
         return result
 
     return hook
@@ -175,8 +197,6 @@ def _hooks(mods):
     for name, fn in vars(mods["autodiff"].Tape).items():
         if inspect.isfunction(fn) and not name.startswith("_") and name != "backward":
             hooks[f"autodiff.Tape.{name}"] = _tape_node
-    for name in FFT_FUNCTIONS:
-        hooks[f"nufft.fft.{name}"] = _fft_counts(name.endswith("2"))
     return hooks
 
 
@@ -261,7 +281,7 @@ class Tracer:
                 return result
             try:
                 return hook(tracer, args, kwargs, result)
-            except (AttributeError, IndexError, KeyError, TypeError):
+            except (AttributeError, IndexError, KeyError, TypeError, ValueError, ArithmeticError):
                 # the program changed under a count; report it, keep the run
                 tracer.hook_errors.add(name)
                 return result
@@ -291,9 +311,21 @@ class Tracer:
             for attr, obj in list(vars(mod).items()):
                 if id(obj) in replaced:
                     self._set(mod, attr, replaced[id(obj)])
-        nufft = mods["nufft"]
-        if hasattr(nufft, "_fft"):
-            self._set(nufft, "_fft", _FftProxy(nufft._fft, self, hooks))
+        self._install_fft(mods["nufft"])
+
+    def _install_fft(self, nufft):
+        """Trace the scipy.fft transforms that nufft calls, under any module alias.
+
+        Without that alias the FFT time would show up as interpolation time,
+        so its absence is recorded as a hook error.
+        """
+        import scipy.fft
+
+        aliases = [attr for attr, obj in vars(nufft).items() if obj is scipy.fft]
+        for attr in aliases:
+            self._set(nufft, attr, _FftProxy(scipy.fft, self))
+        if not aliases:
+            self.hook_errors.add("nufft.fft")
 
     def _install_class(self, mname, cls, hooks):
         qual = f"{mname}.{cls.__name__}"
@@ -331,11 +363,13 @@ class Tracer:
     def summarize(self):
         """Aggregate spans by name and, per operation, by layer.
 
-        Returns (by_name, per_op): by_name maps a span name to its busy time
-        (outermost calls only), self time and call count; per_op lists, for
-        each traced operation, its kind, wall time and the self time of each
-        layer (module) inside it, with the op span's own self time as `other`.
+        Returns (by_name, per_op): by_name maps (span name, op kind) to the
+        span's busy time (outermost calls only), self time and call count
+        inside operations of that kind; per_op lists, for each traced
+        operation, its kind, wall time and the self time of each layer
+        (module) inside it, with the op span's own self time as `other`.
         """
+        kinds = {op_id: kind for op_id, kind, _ in self.ops}
         dur, self_t = self.self_times()
         by_name = defaultdict(lambda: {"busy_s": 0.0, "self_s": 0.0, "calls": 0})
         per_op = [
@@ -348,15 +382,14 @@ class Tracer:
             while open_names and open_names[-1][0] != p:
                 open_names.pop()
             name = self.names[self.name_id[i]]
-            entry = by_name[name]
+            op = self.op_of[i]
+            entry = by_name[(name, kinds[op])]
             if all(n != name for _, n in open_names):
                 entry["busy_s"] += dur[i]
             entry["self_s"] += self_t[i]
             entry["calls"] += 1
-            op = self.op_of[i]
-            if op >= 0:
-                layer = "other" if name.startswith("op.") else name.split(".", 1)[0]
-                per_op[op]["layers"][layer] += self_t[i]
+            layer = "other" if name.startswith("op.") else name.split(".", 1)[0]
+            per_op[op]["layers"][layer] += self_t[i]
             open_names.append((i, name))
         return dict(by_name), per_op
 
@@ -375,12 +408,20 @@ class Tracer:
 
 
 class _FftProxy:
-    """Stands in for ``scipy.fft`` inside ``nufft``: times fft/ifft/fft2/ifft2."""
+    """Stands in for ``scipy.fft`` inside ``nufft``.
 
-    def __init__(self, real, tracer, hooks):
+    Every transform is timed as a ``nufft.fft`` span and counted in
+    ``nufft.fft.flops``; helpers such as ``fftshift`` or ``next_fast_len`` do
+    no transform work and pass through untraced.
+    """
+
+    def __init__(self, real, tracer):
         self._real = real
-        for name in FFT_FUNCTIONS:
-            setattr(self, name, tracer._wrapper(getattr(real, name), "nufft.fft", hooks[f"nufft.fft.{name}"]))
+        self._tracer = tracer
 
     def __getattr__(self, name):
-        return getattr(self._real, name)
+        obj = getattr(self._real, name)
+        if not name.startswith("_") and _is_transform(obj):
+            obj = self._tracer._wrapper(obj, "nufft.fft", _fft_counts(obj))
+        setattr(self, name, obj)  # later lookups find it without __getattr__
+        return obj

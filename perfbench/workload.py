@@ -4,18 +4,24 @@ A workload is one acquisition geometry taken through the whole pipeline by one
 caller in a closed loop: each operation starts when the previous one returned.
 A run of a workload
 
-1. builds the dictionary with the ``build-dict`` command;
-2. sets up what ``mrfrecon train`` does before its loops: load the
-   dictionary, build the operator, simulate the training phantoms, pretrain
-   the Bloch decoder (validation threshold kept) and estimate the step size
-   by power iteration. Its time is ``setup_s``;
-3. runs cycles until they have taken ``seconds`` in all. A cycle runs
-   ``simulate``, ``reconstruct --method bp-dm``, ``reconstruct --method
-   dm-pgd`` and ``eval`` through ``mrfrecon.cli.main``, then, in process,
-   encoder-pretraining epochs, unrolled-training epochs, one neural-unrolled
-   reconstruction and one back-projection through the encoder. Every cycle
+1. sets up ``setups`` times; ``setup_s`` is the median. A set-up builds the
+   dictionary with the ``build-dict`` command and then does what
+   ``mrfrecon train`` does before its loops: load the dictionary, build the
+   operator, simulate the training phantoms, pretrain the Bloch decoder
+   (validation threshold kept) and estimate the step size by power iteration;
+2. runs cycles until they have taken ``seconds`` in all. A cycle runs
+   ``build-dict``, ``simulate``, ``reconstruct --method bp-dm``,
+   ``reconstruct --method dm-pgd`` and ``eval`` through ``mrfrecon.cli.main``,
+   then, in process, encoder-pretraining epochs, unrolled-training epochs,
+   neural-unrolled reconstructions and one back-projection through the
+   encoder; ``REPEATS`` says which of these run more than once. Every cycle
    trains from the same weights and images the same phantom, so its outputs
    repeat exactly.
+
+The machine's speed drifts by tens of percent over seconds, so every operation
+is small enough to run at least once in every cycle: each timing is the median
+of samples spread over the whole run, not of a few taken back to back, and
+each sample is scaled by a speed reference timed next to it.
 
 The program sees only inputs generated from the seed: the phantom's region
 list and a noise seed, passed through the config, and the training phantoms.
@@ -43,24 +49,25 @@ from pathlib import Path
 
 import numpy as np
 import scipy
+import scipy.fft
 
 from mrfrecon import autodiff, cli, neuralprox, nufft, phantom, recon
 
 from .trace import Tracer
 
-# Top-10 singular values of the default dictionary (2670 atoms x L=1000,
+# Top-10 singular values of the benchmark's dictionary (662 atoms x L=200,
 # k_max=50), recorded at the commit that introduced this benchmark.
 SEED_SINGULAR_VALUES = (
-    46.596923409373076,
-    18.08555168529418,
-    11.588474284410166,
-    4.822869369907077,
-    3.254493615451881,
-    1.4258228503528676,
-    0.9880000101936169,
-    0.5198648627031031,
-    0.3639250852775764,
-    0.22270164820591828,
+    19.399320555843357,
+    15.744219987192828,
+    5.352867963131203,
+    2.8696858187021714,
+    0.7823184286992343,
+    0.45083729313858717,
+    0.1769310360384528,
+    0.15389906275509316,
+    0.1368322881937156,
+    0.07122378789562646,
 )
 SINGULAR_VALUE_RTOL = 1e-8
 ORTHONORMAL_TOL = 1e-10
@@ -76,25 +83,41 @@ class Spec:
 
     trajectory: str
     noise_sigma: float  # about 1 % of the RMS k-space sample
-    matrix: int = 48
-    coils: int = 4
-    r: int = 10
+    matrix: int = 32
+    coils: int = 2
+    r: int = 2
     n_train: int = 3
     width: int = 32
-    decoder_epochs: int = 200
+    decoder_epochs: int = 400
     encoder_epochs: int = 4
     unrolled_epochs: int = 1
-    config: dict = field(default_factory=dict)  # further config overrides
+    setups: int = 3
+    config: dict = field(default_factory=lambda: copy.deepcopy(SMALL_CONFIG))
     singular_values: tuple = SEED_SINGULAR_VALUES  # None skips that check
 
 
+# L=200 frames (100 k-space frames at r=2), a 30 x 25 grid (662 atoms) and 500
+# off-grid decoder targets, so that a build-dict takes well under 1 s and a
+# set-up a few seconds, and both fit the run many times. At r=10, as in the
+# CLI default, the first L/10 frames carry too little T1 contrast at any L the
+# run can afford: T1 NRMSE is above 1.5 for every method and says nothing. At
+# L=200, r=2 dm-pgd clearly beats bp-dm (T1 NRMSE about 0.45 against 0.6), so
+# the accuracy metrics can see a speed change that costs accuracy.
+SMALL_CONFIG = {
+    "sequence": {"n_frames": 200},
+    "grid": {"t1": {"count": 30}, "t2": {"count": 25}},
+    "train": {"decoder_offgrid": 500},
+}
+
 WORKLOADS = {
-    "radial48": Spec(trajectory="golden_radial", noise_sigma=0.05),
-    "cartesian48": Spec(trajectory="cartesian_lines", noise_sigma=0.0125),
+    "radial32": Spec(trajectory="golden_radial", noise_sigma=0.04),
+    "cartesian32": Spec(trajectory="cartesian_full", noise_sigma=0.013),
 }
 
 # Phantom layouts in normalized coordinates; the seed jitters them slightly so
-# that accuracy metrics move with the program, not with the phantom.
+# that accuracy metrics move with the program, not with the phantom. Relaxation
+# times move least: they shift against the dictionary grid, and at +-5 % the
+# dm-pgd NRMSEs spread by 8-10 % from seed to seed.
 TEST_LAYOUT = [
     dict(cx=0.50, cy=0.50, a=0.42, b=0.40, angle_deg=5.0, t1=1100.0, t2=95.0, pd=0.90),
     dict(cx=0.49, cy=0.51, a=0.33, b=0.31, angle_deg=5.0, t1=800.0, t2=80.0, pd=0.80),
@@ -114,6 +137,66 @@ TRAIN_LAYOUT = [
 ]
 
 
+class SpeedReference:
+    """A fixed kernel, timed before every operation, that tracks machine speed.
+
+    The machine's speed drifts by tens of percent over seconds and minutes, and
+    it moves every operation of a run together. Each end-to-end timing is
+    therefore reported scaled to reference speed: every sample is multiplied
+    by ``NOMINAL_S`` over the median time of the kernel runs nearest to it.
+    The plain wall-clock medians are printed beside them.
+
+    The kernel does a bit of each kind of work in the program, all from numpy
+    and scipy without calling mrfrecon: batched 2-D FFTs, a scattered sum and
+    a gather over a 64x64 grid, a Python loop of small-array updates, and
+    matrix products. Its arrays take 23 MB, far more than the per-core caches,
+    as the NUFFT's working set does; a 5 MB version of the kernel tracked the
+    NUFFT-bound operations much worse. ``peak_rss_mb`` leaves them out.
+    """
+
+    # the kernel's median time on a shared 2-core Intel Xeon at 2.1 GHz, the
+    # machine on which the bounds were set
+    NOMINAL_S = 0.046
+    WINDOW = 5  # kernel runs on each side of an operation
+
+    def __init__(self):
+        rng = np.random.default_rng(0)
+        self.x = rng.standard_normal((24, 4, 64, 64)) + 1j * rng.standard_normal((24, 4, 64, 64))
+        self.idx = rng.integers(0, 64 * 64, 1_000_000)
+        self.w = rng.standard_normal(1_000_000)
+        self.states = rng.standard_normal((700, 50)) + 0j
+        self.a = rng.standard_normal((256, 256))
+        self.times = []
+
+    @property
+    def nbytes(self):
+        """Bytes of the arrays the kernel keeps resident through the run."""
+        return sum(v.nbytes for v in (self.x, self.idx, self.w, self.states, self.a))
+
+    def _kernel(self):
+        scipy.fft.fft2(self.x, workers=1)
+        np.bincount(self.idx, self.w, minlength=64 * 64)
+        self.x[0, 0].ravel()[self.idx]
+        s = self.states
+        for _ in range(40):
+            s = np.roll(s, 1, axis=1) * 0.9 + s.conj() * 0.1
+        for _ in range(3):
+            self.a @ self.a
+
+    def measure(self):
+        """Time the kernel twice; returns the index of this measurement."""
+        t0 = time.perf_counter()
+        self._kernel()
+        self._kernel()
+        self.times.append(time.perf_counter() - t0)
+        return len(self.times) - 1
+
+    def scale(self, i):
+        """Factor that takes a time measured next to measurement i to reference speed."""
+        near = self.times[max(0, i - self.WINDOW): i + self.WINDOW + 1]
+        return self.NOMINAL_S / statistics.median(near)
+
+
 class CheckFailed(Exception):
     """An operation's output failed a benchmark check."""
 
@@ -126,9 +209,9 @@ def _jitter(layout, rng):
             a=r["a"] * rng.uniform(0.95, 1.05),
             b=r["b"] * rng.uniform(0.95, 1.05),
             angle_deg=r["angle_deg"] + rng.uniform(-5.0, 5.0),
-            t1=r["t1"] * rng.uniform(0.95, 1.05),
-            t2=r["t2"] * rng.uniform(0.95, 1.05),
-            pd=r["pd"] * rng.uniform(0.97, 1.03),
+            t1=r["t1"] * rng.uniform(0.99, 1.01),
+            t2=r["t2"] * rng.uniform(0.99, 1.01),
+            pd=r["pd"] * rng.uniform(0.99, 1.01),
         )
         for r in layout
     ]
@@ -254,6 +337,14 @@ def check_history(history, epochs):
 # ---------------------------------------------------------------------------
 
 
+STEP_KINDS = ("pretrain_step", "train_step")
+
+# Runs per cycle of the operations whose time varies most from one sample to
+# the next: the shortest commands (about 50 ms and 0.3 s) and the NUFFT-bound
+# reconstructions. Every other operation runs once per cycle.
+REPEATS = {"build_dict": 2, "simulate": 4, "recon_bpdm": 6, "recon_dmpgd": 2, "recon_neural": 4}
+
+
 class StepClock:
     """Times training steps in both runs, traced or not.
 
@@ -312,18 +403,21 @@ class SetupState:
 class Run:
     """One process's run of one workload."""
 
-    def __init__(self, spec, seed, workdir, tracer=None):
+    def __init__(self, spec, seed, workdir):
         self.spec = spec
         self.inputs = make_inputs(seed, spec.n_train)
         self.workdir = Path(workdir)
-        self.tracer = tracer if tracer is not None else Tracer()
+        self.tracer = Tracer()
         self.clock = StepClock()
         self.attempted = 0
         self.failed = 0
         self.failures = []  # kinds of the failed operations
-        self.samples = defaultdict(list)
+        self.samples = defaultdict(list)  # op kind -> wall seconds
+        self.sample_refs = defaultdict(list)  # op kind -> SpeedReference index per sample
+        self.reference = SpeedReference()
         self.values = {}
         self.cycle_seconds = []
+        self.cycle_traced = []
         self.kspace = None
         self.config_path = self.workdir / "config.json"
         self.dict_dir = self.workdir / "dict"
@@ -334,6 +428,8 @@ class Run:
         """Time one operation, then check its output; failures are counted."""
         self.attempted += 1
         gc.collect()  # start every operation from a collected heap
+        ref = self.reference.measure()
+        steps = {k: len(self.samples[k]) for k in STEP_KINDS}
         try:
             with self.tracer.op(kind):
                 t0 = time.perf_counter()
@@ -346,7 +442,11 @@ class Run:
             self.failures.append(kind)
             print(f"operation {kind} failed:\n{traceback.format_exc()}", file=sys.stderr)
             return None
+        finally:
+            for k, n in steps.items():  # training steps timed inside this op
+                self.sample_refs[k] += [ref] * (len(self.samples[k]) - n)
         self.samples[kind].append(dt)
+        self.sample_refs[kind].append(ref)
         return out
 
     def cli(self, *argv):
@@ -354,15 +454,13 @@ class Run:
             code = cli.main(["--threads", "1", *map(str, argv)])
         _require(code == 0, f"mrfrecon {argv[0]} exited with code {code}")
 
-    def build_dict(self):
-        self.attempt(
-            "build_dict",
-            lambda: self.cli("build-dict", "--config", self.config_path, "--out", self.dict_dir),
-            lambda _: check_dictionary(self.dict_dir, self.spec.singular_values),
-        )
+    def build_dict(self, out):
+        self.cli("build-dict", "--config", self.config_path, "--out", out)
+        check_dictionary(out, self.spec.singular_values)
 
     def setup(self):
-        """What cmd_train does before its training loops."""
+        """Build the dictionary, then do what cmd_train does before its loops."""
+        self.build_dict(self.dict_dir)
         cfg = cli.load_config(self.config_path)
         tc = cfg["train"]
         grid, sub = cli.load_dictionary(self.dict_dir)
@@ -486,21 +584,25 @@ class Run:
         bp, pgd, csv = work / "rec_bpdm", work / "rec_dmpgd", work / "metrics.csv"
         self.kspace = None
 
-        self.attempt(
-            "simulate",
-            lambda: self.cli("simulate", "--config", cfg, "--dict", d, "--out", sim),
-            lambda _: self.check_kspace(sim),
-        )
+        for _ in range(REPEATS["build_dict"]):
+            self.attempt("build_dict", lambda: self.build_dict(work / "dict"))
+        for _ in range(REPEATS["simulate"]):
+            self.attempt(
+                "simulate",
+                lambda: self.cli("simulate", "--config", cfg, "--dict", d, "--out", sim),
+                lambda _: self.check_kspace(sim),
+            )
         for method, out, props in (("bp-dm", bp, ("t1",)), ("dm-pgd", pgd, ("t1", "t2"))):
             name = method.replace("-", "")
-            self.attempt(
-                f"recon_{name}",
-                lambda method=method, out=out: self.cli(
-                    "reconstruct", "--config", cfg, "--data", sim, "--dict", d,
-                    "--method", method, "--out", out,
-                ),
-                lambda _, name=name, out=out, props=props: self.score(name, out, truth, props),
-            )
+            for _ in range(REPEATS[f"recon_{name}"]):
+                self.attempt(
+                    f"recon_{name}",
+                    lambda method=method, out=out: self.cli(
+                        "reconstruct", "--config", cfg, "--data", sim, "--dict", d,
+                        "--method", method, "--out", out,
+                    ),
+                    lambda _, name=name, out=out, props=props: self.score(name, out, truth, props),
+                )
         self.attempt(
             "eval",
             lambda: self.cli("eval", "--est", pgd, "--truth", truth, "--out", csv),
@@ -516,7 +618,8 @@ class Run:
         )
         st.model.log_alpha.value[:] = np.log(1.0 / st.lam_max)
         self.attempt("train_unrolled", lambda: self.train_unrolled(st), self.check_train)
-        self.attempt("recon_neural", lambda: self.recon_neural(st), check_neural_maps)
+        for _ in range(REPEATS["recon_neural"]):
+            self.attempt("recon_neural", lambda: self.recon_neural(st), check_neural_maps)
         self.attempt(
             "bp_neural",
             lambda: recon.backprojection_baseline(self.kspace, st.op, encoder=st.model.encoder),
@@ -524,26 +627,29 @@ class Run:
         )
 
     def execute(self, seconds, trace):
-        """Build, set up and cycle; a traced run traces the dictionary build,
-        the set-up and the second cycle, and runs the first cycle untraced as
-        the reference for the tracing overhead."""
+        """Set up, then cycle. A traced run traces the set-ups and every
+        second cycle; the untraced cycles between them are the reference for
+        the tracing overhead."""
         self.workdir.mkdir(parents=True, exist_ok=True)
         self.config_path.write_text(json.dumps(make_config(self.spec, self.inputs)))
+        nufft.set_fft_workers(1)  # what --threads 1 does for the CLI commands
         self.clock.install()
         if trace:
             self.tracer.install()
         try:
+            state = None
             self.tracer.enabled = bool(trace)
-            self.build_dict()
-            state = self.attempt("setup", self.setup, self.check_setup)
-            self.tracer.enabled = False
+            for _ in range(self.spec.setups):
+                state = self.attempt("setup", self.setup, self.check_setup) or state
             if state is None:
-                raise RuntimeError("set-up failed; nothing to measure")
+                raise RuntimeError("every set-up failed; nothing to measure")
             while len(self.cycle_seconds) < (2 if trace else 1) or sum(self.cycle_seconds) < seconds:
-                self.tracer.enabled = bool(trace) and len(self.cycle_seconds) == 1
+                traced = bool(trace) and len(self.cycle_seconds) % 2 == 1
+                self.tracer.enabled = traced
                 t0 = time.perf_counter()
                 self.cycle(state)
                 self.cycle_seconds.append(time.perf_counter() - t0)
+                self.cycle_traced.append(traced)
             self.tracer.enabled = False
         finally:
             self.tracer.uninstall()
@@ -577,16 +683,26 @@ END_TO_END = (
 
 
 def end_to_end(run):
-    """{name: (value, unit, sample count)}; value None when no sample succeeded."""
+    """{name: (value, unit, note)}; value None when no sample succeeded.
+
+    Timings are medians of the samples scaled to reference speed (see
+    SpeedReference); the note gives the sample count and the median wall time.
+    """
     out = {}
     for name, unit, src in END_TO_END:
         if src[0] == "samples":
-            xs = run.samples[src[1]]
-            out[name] = (_median(xs), unit, len(xs))
+            walls, refs = run.samples[src[1]], run.sample_refs[src[1]]
+            scaled = [t * run.reference.scale(i) for t, i in zip(walls, refs)]
+            note = f"median of {len(walls)}, wall median {_median(walls) or 0.0:.6g} s"
+            out[name] = (_median(scaled), unit, note)
         elif src[0] == "value":
-            out[name] = (run.values.get(src[1]), unit, 1 if src[1] in run.values else 0)
+            out[name] = (run.values.get(src[1]), unit, "")
         else:
-            out[name] = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, unit, 1)
+            # the speed reference's arrays stay resident from the start of the
+            # run, so they add a constant to every point of the resident set
+            peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            note = f"speed reference's {run.reference.nbytes / 2**20:.1f} MB left out"
+            out[name] = ((peak_kib * 1024 - run.reference.nbytes) / 2**20, unit, note)
     return out
 
 
@@ -659,32 +775,44 @@ def per_layer_names():
 
 
 def per_layer(run):
-    """{name: (value, unit)} from the traced window, plus the per-op breakdown."""
+    """{name: (value, unit)} per round, plus the per-op breakdown.
+
+    A round is one set-up plus one of each cycle operation: every time and
+    count is the total over the traced operations of each kind divided by how
+    many of that kind were traced, so a count comes out the same however many
+    cycles the run made.
+    """
     tracer = run.tracer
     by_name, per_op = tracer.summarize()
+    n_ops = defaultdict(int)
+    for _, kind, _ in tracer.ops:
+        n_ops[kind] += 1
+
+    def per_round(pairs):
+        """Sum of (op kind, total) pairs, each total divided by its op count."""
+        return sum(total / n_ops[kind] for kind, total in pairs)
+
+    def field_sum(names, f):
+        return per_round((kind, e[f]) for (n, kind), e in by_name.items() if n in names)
+
     values = {}
     for span, fields in SPAN_FIELDS:
-        entry = by_name.get(span, {"busy_s": 0.0, "self_s": 0.0, "calls": 0})
         for f in fields:
-            values[f"{span}.{f}"] = entry[f]
-    values["acquisition.self_s"] = sum(
-        e["self_s"] for n, e in by_name.items() if n.startswith("acquisition.")
-    )
-    values["nufft.interp.self_s"] = sum(
-        by_name.get(n, {"self_s": 0.0})["self_s"] for n in ("nufft.plan.forward", "nufft.plan.adjoint")
-    )
-    values["other.self_s"] = sum(op["layers"].get("other", 0.0) for op in per_op)
+            values[f"{span}.{f}"] = field_sum({span}, f)
+    acq = {n for n, _ in by_name if n.startswith("acquisition.")}
+    values["acquisition.self_s"] = field_sum(acq, "self_s")
+    values["nufft.interp.self_s"] = field_sum({"nufft.plan.forward", "nufft.plan.adjoint"}, "self_s")
+    values["other.self_s"] = per_round((op["kind"], op["layers"].get("other", 0.0)) for op in per_op)
 
-    totals, training = defaultdict(int), defaultdict(int)
     kinds = {op_id: kind for op_id, kind, _ in tracer.ops}
-    for (counter, op_id), v in tracer.counts.items():
-        totals[counter] += v
-        if kinds.get(op_id) == "train_unrolled":
-            training[counter] += v
     for name, _ in COMPUTED:
-        values[name] = totals[name]
-    steps = run.spec.unrolled_epochs * run.spec.n_train
-    values["autodiff.tape.nodes"] = training["autodiff.tape.nodes"] // steps
+        values[name] = per_round((kinds[op], v) for (c, op), v in tracer.counts.items() if c == name)
+    training = defaultdict(int)
+    for (counter, op_id), v in tracer.counts.items():
+        if kinds[op_id] == "train_unrolled":
+            training[counter] += v
+    steps = n_ops["train_unrolled"] * run.spec.unrolled_epochs * run.spec.n_train
+    values["autodiff.tape.nodes"] = training["autodiff.tape.nodes"] / steps
     values["autodiff.tape.mb"] = training["autodiff.tape.bytes"] / steps / 1e6
 
     walls, layers = defaultdict(float), defaultdict(float)
@@ -696,9 +824,11 @@ def per_layer(run):
         for layer in names:
             values[f"{kind}.{layer}.share"] = layers[(kind, layer)] / walls[kind] if walls[kind] else 0.0
 
-    untraced, traced = run.cycle_seconds[0], run.cycle_seconds[1]
-    values["trace.overhead_s"] = traced - untraced
-    values["trace.overhead_share"] = (traced - untraced) / untraced
+    traced = [t for t, on in zip(run.cycle_seconds, run.cycle_traced) if on]
+    untraced = [t for t, on in zip(run.cycle_seconds, run.cycle_traced) if not on]
+    overhead = statistics.median(traced) - statistics.median(untraced)
+    values["trace.overhead_s"] = overhead
+    values["trace.overhead_share"] = overhead / statistics.median(untraced)
     units = dict(per_layer_names())
     return {n: (values[n], units[n]) for n in units}, per_op
 
