@@ -47,7 +47,6 @@ from .recon import (
     PgdConfig,
     ReconTrace,
     backprojection_baseline,
-    dictionary_prox,
     identity_prox,
     make_dictionary_prox,
     pgd_reconstruct,

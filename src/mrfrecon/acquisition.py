@@ -5,6 +5,11 @@ the temporal subspace basis, multiplication by each coil sensitivity map, and
 non-uniform Fourier sampling along that frame's trajectory. The adjoint is the
 exact conjugate transpose of this chain. Density compensation exists only in
 the standalone back-projection path, never inside gradient iterations.
+
+The normal operator H^H H has its own Toeplitz form (Fessler et al., IEEE TSP
+2005), with the subspace folded into s x s point-spread-function kernels
+(Tamir et al., MRM 2017): one zero-padded FFT pass over s*C images per
+application instead of per-frame NUFFTs both ways.
 """
 
 from dataclasses import dataclass, replace
@@ -201,6 +206,7 @@ class AcquisitionOperator:
         )
         self.dc_weights = density_compensation(trajectory)
         self._bp_mixing_inv = None
+        self._normal_kernel = None
 
     @property
     def kspace_shape(self):
@@ -236,6 +242,21 @@ class AcquisitionOperator:
         coil_imgs = self.plan.adjoint(y)
         frame_imgs = np.sum(coil_imgs * self.coil_maps.conj()[None], axis=1)
         return np.tensordot(self.basis.conj(), frame_imgs, axes=(0, 0))
+
+    def normal(self, x):
+        """H^H H x = sum_c S_c^H [K * (S_c x)] with the exact NUDFT kernel.
+
+        K_ij = sum_t conj(B_ti) B_tj psf_t is built on first use and cached;
+        it holds s^2 (2N)^2 complex values. For gridded trajectories the
+        result differs from adjoint(forward(x)) by the gridding error only.
+        """
+        x = self._check_image(x)
+        if self._normal_kernel is None:
+            mix = self.basis.conj()[:, :, None] * self.basis[:, None, :]  # (F, s, s)
+            self._normal_kernel = self.plan.normal_kernel(mix)
+        coil_imgs = self.coil_maps[:, None] * x[None]  # (C, s, N, N)
+        out = nufft.toeplitz_normal(self._normal_kernel, coil_imgs)
+        return np.sum(out * self.coil_maps.conj()[:, None], axis=0)
 
     def _bp_channel_mixing(self):
         """Channel response of the density-compensated normal operator.
@@ -276,7 +297,12 @@ class AcquisitionOperator:
         return np.tensordot(self._bp_channel_mixing(), u, axes=(1, 0))
 
     def estimate_operator_norm(self, iters=30, seed=0):
-        """Largest eigenvalue of H^H H by power iteration from a fixed seed."""
+        """Largest eigenvalue of H^H H by power iteration from a fixed seed.
+
+        Iterates normal(), so this is the lambda of the exact-NUDFT H^H H; on
+        gridded trajectories it agrees with that of adjoint(forward(.)) to
+        gridding accuracy (about 1e-3 relative).
+        """
         if iters < 1:
             raise ValueError("iters must be >= 1")
         rng = np.random.default_rng(seed)
@@ -284,7 +310,7 @@ class AcquisitionOperator:
         v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         lam = 0.0
         for _ in range(iters):
-            w = self.adjoint(self.forward(v))
+            w = self.normal(v)
             norm_w = np.linalg.norm(w)
             if norm_w == 0.0:
                 return 0.0

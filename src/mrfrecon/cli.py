@@ -1,11 +1,12 @@
 """Command-line pipeline: build-dict, simulate, reconstruct, train, eval, render.
 
 Every command reads a JSON config (unknown keys rejected, all fields optional
-with the documented defaults), writes only into its --out directory, and drops
-a manifest.json recording the echoed config, input hashes, output hashes,
-library versions, and wall time. Exit codes: 0 ok, 1 runtime error, 2 config
-error. Runs are bit-reproducible for a fixed seed and --threads 1 (the
-manifest's wall-time field is the one volatile output).
+with the documented defaults) and writes only into its --out directory. All
+commands but eval, which writes only its CSV, drop a manifest.json recording
+the echoed config, input hashes, output hashes, library versions, and wall
+time. Exit codes: 0 ok, 1 runtime error, 2 config error. Runs are
+bit-reproducible for a fixed seed and --threads 1 (the manifest's wall-time
+field is the one volatile output).
 """
 
 import argparse
@@ -17,6 +18,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .acquisition import (
@@ -252,6 +254,7 @@ def _sha256(path):
 def write_manifest(outdir, command, config, args, inputs, t0):
     outdir = Path(outdir)
     outputs = {}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     for p in sorted(outdir.rglob("*")):
         if p.is_file() and p.name != "manifest.json":
             outputs[str(p.relative_to(outdir))] = _sha256(p)
@@ -264,6 +267,8 @@ def write_manifest(outdir, command, config, args, inputs, t0):
         "versions": {
             "mrfrecon": __version__,
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "blas": f"{blas['name']} {blas['version']}",
             "python": sys.version.split()[0],
         },
         "wall_time_s": round(time.monotonic() - t0, 3),
@@ -569,6 +574,8 @@ def cmd_train(args):
     t0 = time.monotonic()
     cfg = load_config(args.config)
     tc = cfg["train"]
+    if int(tc["batch_size"]) != 1:
+        raise ConfigError("train.batch_size must be 1; minibatching is not implemented")
     grid, sub = load_dictionary(args.dict)
     matrix = int(cfg["phantom"]["matrix"])
     op, _ = build_operator(cfg, matrix, sub)
@@ -687,7 +694,6 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    t0 = time.monotonic()
     est = load_maps(args.est)
     truth = load_maps(args.truth)
     rows = metrics_rows(est, truth)

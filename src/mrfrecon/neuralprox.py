@@ -242,19 +242,6 @@ def prox_nodes(tape, encoder, decoder, g_node):
     return tape.mul(x, pd), m
 
 
-def neural_prox_apply(model, g):
-    """Apply the learned prox to one gradient-updated TSMI.
-
-    Args:
-        model: UnrolledModel (or anything with encoder/decoder attributes).
-        g: complex (s, H, W).
-
-    Returns:
-        (x, QMaps): re-synthesized complex TSMI and the bounded property maps.
-    """
-    return model.make_prox()(g)
-
-
 def unrolled_loss_nodes(tape, model, y, op, x0, truth, cfg):
     """Record the unrolled forward pass and its two-term training loss.
 

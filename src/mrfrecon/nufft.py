@@ -17,6 +17,11 @@ corner of the oversampled grid and plain fft2/ifft2 do the rest.
 Trajectories whose coordinates are all integers (full or line Cartesian) are
 evaluated exactly through a plain FFT instead of gridding; integer
 frequencies alias exactly, so this path is both faster and error-free.
+
+Both plans also build the kernel of the exact (non-gridded) normal operator:
+a frame-weighted sum of point-spread functions psf_t(r) = sum_j
+exp(2j*pi*k_tj.r/N), embedded 2N-periodically so that toeplitz_normal applies
+the Toeplitz product as one zero-padded circular convolution.
 """
 
 import numpy as np
@@ -51,6 +56,18 @@ def _oversampled_fft2_adjoint(spec, n):
     g = spec.shape[-1]
     u = _fft.ifft(spec, axis=-2, workers=_FFT_WORKERS)[..., :n, :]
     return _fft.ifft(u, axis=-1, workers=_FFT_WORKERS)[..., :n] * (g * g)
+
+
+def toeplitz_normal(kernel, images):
+    """Zero-padded circular convolution with an (s, s) block kernel.
+
+    kernel (s, s, 2N, 2N) is a normal_kernel spectrum; images (B, s, N, N).
+    Returns sum_l crop(ifft(kernel[i, l] * fft(pad(images[:, l])))) for every
+    output channel i.
+    """
+    n = images.shape[-1]
+    spec = _oversampled_fft2(images, 2 * n)
+    return _oversampled_fft2_adjoint(np.einsum("ilxy,blxy->bixy", kernel, spec), n)
 
 
 def beatty_beta(width, oversamp):
@@ -136,6 +153,26 @@ class CartesianExactPlan:
         )
         return _fft.ifft2(spec.reshape(f, b, n, n), workers=_FFT_WORKERS) * (n * n)
 
+    def normal_kernel(self, mix):
+        """Normal-operator spectrum sum_t mix[t, ...] fft(psf_t) / (2N)^2.
+
+        mix is (frames, ...); the result has shape mix.shape[1:] + (2N, 2N).
+        Integer frequencies make psf_t N-periodic, so its spectrum on the 2N
+        grid is exactly (2N)^2 times the frame's sample-count histogram on the
+        even bins and zero on the odd ones: no transform is needed.
+        """
+        n = self.matrix
+        weights = mix.reshape(self.frames, -1)
+        kernel = np.zeros((weights.shape[1], 2 * n, 2 * n), dtype=np.complex128)
+        for lo in range(0, self.frames, _FRAME_CHUNK):
+            hi = min(lo + _FRAME_CHUNK, self.frames)
+            idx = self.flat_index[lo:hi] + (np.arange(hi - lo) * (n * n))[:, None]
+            counts = np.bincount(idx.ravel(), minlength=(hi - lo) * n * n)
+            kernel[:, ::2, ::2] += (
+                weights[lo:hi].T @ counts.reshape(hi - lo, -1)
+            ).reshape(-1, n, n)
+        return kernel.reshape(mix.shape[1:] + kernel.shape[1:])
+
 
 class GriddingPlan:
     """Kaiser-Bessel interpolation tables for one trajectory.
@@ -179,6 +216,7 @@ class GriddingPlan:
         self.grid = g
         self.width = w
         self.frames, self.d = pts.shape[:2]
+        self.points = pts
         self._scatter_cache = {}
 
         # image-domain apodization correction (separable)
@@ -238,6 +276,31 @@ class GriddingPlan:
             cropped = _oversampled_fft2_adjoint(spec, n)
             out[lo:hi] = cropped / self.apod
         return out
+
+    def normal_kernel(self, mix):
+        """Normal-operator spectrum sum_t mix[t, ...] fft(psf_t) / (2N)^2.
+
+        mix is (frames, ...); the result has shape mix.shape[1:] + (2N, 2N).
+        Each psf_t is the direct NUDFT sum at every offset of the 2N grid,
+        evaluated as a (2N x d) @ (d x 2N) product of separable exponentials,
+        so the kernel is exact rather than gridded. PSFs are folded into the
+        kernel one frame chunk at a time.
+        """
+        n, p = self.matrix, 2 * self.matrix
+        weights = mix.reshape(self.frames, -1)
+        r = np.fft.fftfreq(p, 1.0 / p)  # offsets 0..N-1, -N..-1 in FFT order
+        kernel = np.zeros((weights.shape[1], p * p), dtype=np.complex128)
+        for lo in range(0, self.frames, _FRAME_CHUNK):
+            hi = min(lo + _FRAME_CHUNK, self.frames)
+            ex, ey = (
+                np.exp((2j * np.pi / n) * self.points[lo:hi, :, axis, None] * r)
+                for axis in range(2)
+            )
+            psf = np.matmul(ey.transpose(0, 2, 1), ex)  # (frames, ry, rx)
+            kernel += weights[lo:hi].T @ psf.reshape(hi - lo, -1)
+        kernel /= p * p
+        kernel = _fft.fft2(kernel.reshape(-1, p, p), overwrite_x=True, workers=_FFT_WORKERS)
+        return kernel.reshape(mix.shape[1:] + (p, p))
 
 
 def make_plan(matrix, points, oversamp=DEFAULT_OVERSAMP, width=DEFAULT_WIDTH):

@@ -90,11 +90,6 @@ def make_dictionary_prox(grid, sub):
     return prox
 
 
-def dictionary_prox(g, grid, sub):
-    """One-shot form of make_dictionary_prox for direct calls."""
-    return make_dictionary_prox(grid, sub)(g)
-
-
 def pgd_reconstruct(y, op, prox, cfg):
     """Run proximal gradient descent from the density-compensated adjoint.
 

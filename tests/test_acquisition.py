@@ -234,3 +234,73 @@ def test_density_compensation_shapes():
     assert np.all(w > 0)
     flat = density_compensation(make_trajectory("cartesian_full", 8, frames=2))
     npt.assert_allclose(flat, 1.0 / 64)
+
+
+# --- Toeplitz normal operator --------------------------------------------------
+
+
+def _random_tsmi(rng, s, n):
+    return rng.standard_normal((s, n, n)) + 1j * rng.standard_normal((s, n, n))
+
+
+def test_normal_matches_materialized_direct_dft():
+    n, s = 8, 2
+    op = make_random_operator(7, n=n, coils=2, s=s, frames=6)
+    r = np.arange(n) - n // 2
+    # direct-DFT H as a dense matrix: rows (frame, coil, sample), columns (channel, pixel)
+    h = np.zeros((6, 2, n, s, n * n), dtype=complex)
+    for t in range(6):
+        kx, ky = op.trajectory.points[t, :, 0], op.trajectory.points[t, :, 1]
+        ey = np.exp(-2j * np.pi * ky[:, None] * r / n)
+        ex = np.exp(-2j * np.pi * kx[:, None] * r / n)
+        dft = (ey[:, :, None] * ex[:, None, :]).reshape(n, n * n)
+        for c in range(2):
+            h[t, c] = (dft * op.coil_maps[c].ravel())[:, None, :] * op.basis[t][None, :, None]
+    h = h.reshape(6 * 2 * n, s * n * n)
+    rng = np.random.default_rng(70)
+    x = _random_tsmi(rng, s, n)
+    expected = (h.conj().T @ (h @ x.ravel())).reshape(s, n, n)
+    got = op.normal(x)
+    assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("kind", ["cartesian_full", "cartesian_lines"])
+def test_normal_matches_exact_cartesian_path(kind):
+    op = make_random_operator(8, n=16, coils=2, s=3, frames=12, kind=kind)
+    x = _random_tsmi(np.random.default_rng(80), 3, 16)
+    expected = op.adjoint(op.forward(x))
+    assert np.linalg.norm(op.normal(x) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_normal_matches_gridded_radial():
+    op = make_random_operator(9, n=32, coils=2, s=3, frames=16)
+    x = _random_tsmi(np.random.default_rng(90), 3, 32)
+    expected = op.adjoint(op.forward(x))
+    assert np.linalg.norm(op.normal(x) - expected) <= 2e-3 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("kind", ["golden_radial", "cartesian_lines"])
+def test_normal_hermitian_and_psd(kind):
+    op = make_random_operator(10, n=16, coils=2, s=3, frames=12, kind=kind)
+    rng = np.random.default_rng(100)
+    for _ in range(3):
+        x, z = _random_tsmi(rng, 3, 16), _random_tsmi(rng, 3, 16)
+        nx, nz = op.normal(x), op.normal(z)
+        scale = np.linalg.norm(x) * np.linalg.norm(nz)
+        assert abs(np.vdot(z, nx) - np.vdot(nz, x)) <= 1e-12 * scale
+        quad = np.vdot(x, nx)
+        assert quad.real >= 0.0
+        assert abs(quad.imag) <= 1e-12 * abs(quad.real)
+
+
+def test_operator_norm_independent_of_fft_workers():
+    from mrfrecon import nufft
+
+    # a fresh operator per setting, so the kernel build runs under each too
+    one = make_random_operator(11, n=16, coils=2, s=3, frames=12).estimate_operator_norm()
+    nufft.set_fft_workers(2)
+    try:
+        two = make_random_operator(11, n=16, coils=2, s=3, frames=12).estimate_operator_norm()
+    finally:
+        nufft.set_fft_workers(1)
+    assert one == two

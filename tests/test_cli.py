@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from mrfrecon.tensorfile import read_json, read_tensor
 
@@ -112,6 +113,11 @@ def test_simulate_outputs_and_manifest(pipeline):
     assert "subspace_sha256" in manifest["inputs"]["dictionary"]
     outs = manifest["outputs"]
     assert "kspace.mrfb" in outs and "truth/t1.mrfb" in outs
+    versions = manifest["versions"]
+    assert versions["numpy"] == np.__version__
+    assert versions["scipy"] == scipy.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert versions["blas"] == f"{blas['name']} {blas['version']}"
 
 
 def test_reconstruct_eval_render_roundtrip(pipeline, tmp_path):
@@ -275,6 +281,15 @@ def test_train_and_neural_reconstruct(tmp_path):
         assert r.returncode == 0, r.stderr
         t1 = read_tensor(tmp_path / f"rec_{method}" / "t1.mrfb")
         assert t1.shape == (16, 16) and np.all(np.isfinite(t1))
+
+
+def test_train_batch_size_other_than_one_rejected(pipeline, tmp_path):
+    root, _ = pipeline
+    cfg = write_config(tmp_path, {"train.batch_size": 2})
+    r = run_cli("train", "--config", cfg, "--dict", root / "dict", "--out", tmp_path / "ckpt")
+    assert r.returncode == 2
+    assert "train.batch_size" in r.stderr
+    assert not (tmp_path / "ckpt").exists()
 
 
 def test_neural_method_requires_model(pipeline, tmp_path):

@@ -17,7 +17,6 @@ from mrfrecon.neuralprox import (
     TrainConfig,
     UnrolledModel,
     load_model,
-    neural_prox_apply,
     pretrain_bloch_decoder,
     pretrain_encoder,
     prox_nodes,
@@ -89,7 +88,7 @@ def test_neural_prox_matches_manual_composition():
     model = tiny_model(seed=5)
     rng = np.random.default_rng(5)
     g = rng.standard_normal((2, 8, 8)) + 1j * rng.standard_normal((2, 8, 8))
-    x, maps = neural_prox_apply(model, g)
+    x, maps = model.make_prox()(g)
 
     tape = Tape()
     m = model.encoder.apply(tape, tape.constant(c2r_channels(g))).value
@@ -104,7 +103,7 @@ def test_prox_output_bounds_and_mask():
     model = tiny_model(seed=6)
     rng = np.random.default_rng(6)
     g = rng.standard_normal((2, 8, 8)) + 1j * rng.standard_normal((2, 8, 8))
-    _, maps = neural_prox_apply(model, g)
+    _, maps = model.make_prox()(g)
     assert np.all(maps.mask)
     assert maps.t1_ms.min() >= T1_BOUNDS_MS[0]
     assert maps.t2_ms.max() <= T2_BOUNDS_MS[1]
@@ -289,7 +288,7 @@ def test_model_checkpoint_roundtrip(tmp_path):
     npt.assert_array_equal(model.log_alpha.value, loaded.log_alpha.value)
     rng = np.random.default_rng(13)
     g = rng.standard_normal((2, 8, 8)) + 1j * rng.standard_normal((2, 8, 8))
-    x1, m1 = neural_prox_apply(model, g)
-    x2, m2 = neural_prox_apply(loaded, g)
+    x1, m1 = model.make_prox()(g)
+    x2, m2 = loaded.make_prox()(g)
     npt.assert_array_equal(x1, x2)
     npt.assert_array_equal(m1.t1_ms, m2.t1_ms)

@@ -8,7 +8,6 @@ from mrfrecon.errors import ReconDivergence
 from mrfrecon.recon import (
     PgdConfig,
     backprojection_baseline,
-    dictionary_prox,
     identity_prox,
     make_dictionary_prox,
     pgd_reconstruct,
@@ -114,7 +113,7 @@ def test_dictionary_prox_fixed_point_on_atom(small_dict):
     unit_atoms, scale = compressed_atoms(grid, sub)
     j, pd = 11, 1.7
     g = (pd * scale[j] * unit_atoms[j]).reshape(-1, 1, 1)
-    x, maps = dictionary_prox(g, grid, sub)
+    x, maps = make_dictionary_prox(grid, sub)(g)
     assert np.linalg.norm(x - g) < 1e-10 * np.linalg.norm(g)
     assert maps.t1_ms[0, 0] == grid.atom_t1_ms[j]
     npt.assert_allclose(maps.pd[0, 0], pd, rtol=1e-10)
@@ -125,7 +124,7 @@ def test_dictionary_prox_max_correlation_vs_brute_force(small_dict):
     unit_atoms, scale = compressed_atoms(grid, sub)
     rng = np.random.default_rng(2)
     g = rng.standard_normal((sub.s, 4, 4)) + 1j * rng.standard_normal((sub.s, 4, 4))
-    x, maps = dictionary_prox(g, grid, sub)
+    x, maps = make_dictionary_prox(grid, sub)(g)
     flat_g = g.reshape(sub.s, -1)
     flat_x = x.reshape(sub.s, -1)
     for v in range(flat_g.shape[1]):
@@ -144,7 +143,7 @@ def test_dictionary_prox_nonexpansive(small_dict):
     grid, sub = small_dict
     rng = np.random.default_rng(3)
     g = rng.standard_normal((sub.s, 6, 6)) + 1j * rng.standard_normal((sub.s, 6, 6))
-    x, _ = dictionary_prox(g, grid, sub)
+    x, _ = make_dictionary_prox(grid, sub)(g)
     norms_in = np.linalg.norm(g.reshape(sub.s, -1), axis=0)
     norms_out = np.linalg.norm(x.reshape(sub.s, -1), axis=0)
     assert np.all(norms_out <= norms_in + 1e-12)
