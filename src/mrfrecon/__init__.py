@@ -6,6 +6,13 @@ descent with dictionary-matching and learned proximal operators, synthetic
 phantoms, metrics, and bit-exact file formats.
 """
 
+import os
+
+# Threaded BLAS/OpenMP reductions may sum in another order. The CLI imports
+# this package before numpy loads, so pinning one thread keeps it reproducible.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 __version__ = "0.1.0"
 
 from .acquisition import (

@@ -6,11 +6,10 @@ recorded list in exact reverse order (recording order is topological), so
 gradients accumulate additively at fan-out and parameters reached through
 several leaves (weight sharing across unrolled iterations) sum up naturally.
 
-Complex linear-operator applications enter the graph through apply_linop /
-apply_linop_adjoint: the operators are complex-linear, so the real-valued
-vector-Jacobian product of H is H^H applied to the upstream gradient (and vice
-versa). Everything else stays real; complex channels are carried as stacked
-real/imaginary planes.
+The acquisition enters the graph only as its normal operator N = H^H H
+(apply_normal): complex-linear and self-adjoint, so its vector-Jacobian product
+is N again. Everything else stays real; complex channels are carried as
+stacked real/imaginary planes.
 """
 
 import numpy as np
@@ -58,15 +57,6 @@ def c2r_channels(z):
 def r2c_channels(x):
     s = x.shape[0] // 2
     return x[:s] + 1j * x[s:]
-
-
-def c2r_stack(z):
-    """Complex array -> real (2, ...) stack."""
-    return np.stack([z.real, z.imag])
-
-
-def r2c_stack(x):
-    return x[0] + 1j * x[1]
 
 
 class Tape:
@@ -287,27 +277,24 @@ class Tape:
 
         return self._record(np.array(total), tuple(nodes), vjp)
 
-    # ---- complex linear-operator bridges -----------------------------------
-
-    def apply_linop(self, x, op):
-        """Forward acquisition: real (2s,N,N) -> real (2, frames, C, d)."""
-        y = op.forward(r2c_channels(x.value))
+    def vdot(self, a, b):
+        """Real inner product sum(a * b) of two equal-shape nodes."""
+        av, bv = a.value, b.value
 
         def vjp(g):
-            gz = op.adjoint(r2c_stack(g))
-            return (c2r_channels(gz),)
+            return g * bv, g * av
 
-        return self._record(c2r_stack(y), (x,), vjp)
+        return self._record(np.array(np.vdot(av, bv)), (a, b), vjp)
 
-    def apply_linop_adjoint(self, y, op):
-        """Adjoint acquisition: real (2, frames, C, d) -> real (2s,N,N)."""
-        x = op.adjoint(r2c_stack(y.value))
+    # ---- complex normal operator -------------------------------------------
+
+    def apply_normal(self, x, op):
+        """H^H H on real (2s, N, N) planes; self-adjoint, so it is its own VJP."""
 
         def vjp(g):
-            gy = op.forward(r2c_channels(g))
-            return (c2r_stack(gy),)
+            return (c2r_channels(op.normal(r2c_channels(g))),)
 
-        return self._record(c2r_channels(x), (y,), vjp)
+        return self._record(vjp(x.value)[0], (x,), vjp)
 
     # ---- reverse pass ------------------------------------------------------
 

@@ -6,7 +6,8 @@ commands but eval, which writes only its CSV, drop a manifest.json recording
 the echoed config, input hashes, output hashes, library versions, and wall
 time. Exit codes: 0 ok, 1 runtime error, 2 config error. Runs are
 bit-reproducible for a fixed seed and --threads 1 (the manifest's wall-time
-field is the one volatile output).
+field is the one volatile output): BLAS and OpenMP run single-threaded, pinned
+when the package loads (see __init__), and --threads sets the FFT workers.
 """
 
 import argparse
@@ -730,7 +731,7 @@ def build_parser():
         "--threads",
         type=int,
         default=1,
-        help="worker threads; 1 (the default) guarantees bit-reproducible runs",
+        help="FFT worker threads; 1 (the default) guarantees bit-reproducible runs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

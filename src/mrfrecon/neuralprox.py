@@ -4,7 +4,7 @@ The prox is decoder(encoder(g)) scaled by the predicted proton density; the
 encoder is a compact convolutional net with bounded outputs mapping straight
 to physical ranges, the decoder a small per-voxel MLP fit to compressed EPG
 responses. Unrolled training differentiates through T proximal gradient
-iterations, including the forward/adjoint acquisition operators, with the
+iterations, including the acquisition's normal operator H^H H, with the
 encoder weights shared across iterations and one trainable log step size per
 iteration.
 """
@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    Adam,
-    Param,
-    Tape,
-    c2r_channels,
-    c2r_stack,
-    r2c_channels,
-)
+from .autodiff import Adam, Param, Tape, c2r_channels, r2c_channels
 from .dictionary import compress
 from .epg import simulate_epg_batch
 from .errors import TrainingFailure
@@ -49,6 +42,11 @@ class TrainConfig:
     def __post_init__(self):
         if any(b < 0 for b in self.beta) or self.lam < 0:
             raise ValueError("loss weights must be >= 0")
+
+
+def _stacked_maps(m):
+    """(3, H, W) T1/T2/PD planes -> QMaps with an all-true mask."""
+    return QMaps(t1_ms=m[0], t2_ms=m[1], pd=m[2], mask=np.ones(m.shape[1:], dtype=bool))
 
 
 class EncoderNet:
@@ -116,11 +114,7 @@ class EncoderNet:
         """Inference path: complex (s, H, W) TSMI -> QMaps."""
         tape = Tape()
         x = tape.constant(c2r_channels(np.asarray(tsmi)))
-        m = self.apply(tape, x).value
-        h, w = m.shape[1:]
-        return QMaps(
-            t1_ms=m[0], t2_ms=m[1], pd=m[2], mask=np.ones((h, w), dtype=bool)
-        )
+        return _stacked_maps(self.apply(tape, x).value)
 
 
 class BlochDecoderNet:
@@ -215,12 +209,7 @@ class UnrolledModel:
             tape = Tape()
             g_node = tape.constant(c2r_channels(np.asarray(g)))
             x_node, m_node = prox_nodes(tape, self.encoder, self.decoder, g_node)
-            m = m_node.value
-            h, w = m.shape[1:]
-            maps = QMaps(
-                t1_ms=m[0], t2_ms=m[1], pd=m[2], mask=np.ones((h, w), dtype=bool)
-            )
-            return r2c_channels(x_node.value), maps
+            return r2c_channels(x_node.value), _stacked_maps(m_node.value)
 
         return prox
 
@@ -246,25 +235,28 @@ def unrolled_loss_nodes(tape, model, y, op, x0, truth, cfg):
     """Record the unrolled forward pass and its two-term training loss.
 
     Map loss is evaluated on the final iterate only; the k-space consistency
-    term is summed over every iterate. Returns (loss node, final maps node).
+    term ||y - Hx||^2 / (2 y.size), summed over every iterate, is taken as
+    ||y||^2 + Re<x, Nx - 2 H^H y>, so no k-space array sits on the tape.
+    Returns (loss node, final maps node).
     """
     y = np.asarray(y)
-    y_stack = c2r_stack(y)
-    y_node = tape.constant(y_stack)
-    x = tape.constant(c2r_channels(np.asarray(x0)))
+    b = c2r_channels(op.adjoint(y))
+    b_node = tape.constant(b)
+    b2_node = tape.constant(2.0 * b)
+    ysq = tape.constant(np.vdot(y, y).real)
+    x0 = np.asarray(x0)
+    x = tape.constant(c2r_channels(x0))
+    nx = tape.constant(c2r_channels(op.normal(x0)))
     log_alpha = tape.leaf(model.log_alpha)
 
-    hx = tape.apply_linop(x, op)
     ks_terms = []
     m = None
     for t in range(model.iterations):
-        resid = tape.sub(y_node, hx)
-        upd = tape.apply_linop_adjoint(resid, op)
         alpha = tape.exp(tape.slice_axis0(log_alpha, t, t + 1))
-        g = tape.add(x, tape.mul(upd, alpha))
+        g = tape.add(x, tape.mul(tape.sub(b_node, nx), alpha))
         x, m = prox_nodes(tape, model.encoder, model.decoder, g)
-        hx = tape.apply_linop(x, op)
-        ks_terms.append(tape.mse(hx, y_stack))
+        nx = tape.apply_normal(x, op)
+        ks_terms.append(tape.add(ysq, tape.vdot(x, tape.sub(nx, b2_node))))
 
     map_terms = []
     targets = (truth.t1_ms, truth.t2_ms, truth.pd)
@@ -273,7 +265,8 @@ def unrolled_loss_nodes(tape, model, y, op, x0, truth, cfg):
         map_terms.append(tape.mse(chan, targets[j][None] / MAP_NORMS[j]))
 
     loss = tape.weighted_sum(
-        map_terms + ks_terms, list(cfg.beta) + [cfg.lam] * model.iterations
+        map_terms + ks_terms,
+        list(cfg.beta) + [cfg.lam / (2 * y.size)] * model.iterations,
     )
     return loss, m
 

@@ -58,6 +58,17 @@ def _oversampled_fft2_adjoint(spec, n):
     return _fft.ifft(u, axis=-1, workers=_FFT_WORKERS)[..., :n] * (g * g)
 
 
+def _scatter_add(idx, vals, size):
+    """Complex bincount: vals summed into `size` bins, re and im in one pass."""
+    idx = 2 * idx.ravel()
+    pairs = np.bincount(
+        np.stack([idx, idx + 1], axis=1).ravel(),
+        weights=np.ascontiguousarray(vals).ravel().view(np.float64),
+        minlength=2 * size,
+    )
+    return pairs.view(np.complex128)
+
+
 def toeplitz_normal(kernel, images):
     """Zero-padded circular convolution with an (s, s) block kernel.
 
@@ -138,19 +149,9 @@ class CartesianExactPlan:
         """samples (F, B, d) -> images (F, B, N, N)."""
         f, b = samples.shape[:2]
         n = self.matrix
-        flat = (samples * self.sign[:, None, :]).reshape(f * b, self.d)
-        offs = np.arange(f * b)[:, None] * (n * n)
-        idx = (
-            np.broadcast_to(self.flat_index[:, None, :], (f, b, self.d)).reshape(
-                f * b, self.d
-            )
-            + offs
-        )
-        spec = np.bincount(
-            idx.ravel(), weights=flat.real.ravel(), minlength=f * b * n * n
-        ) + 1j * np.bincount(
-            idx.ravel(), weights=flat.imag.ravel(), minlength=f * b * n * n
-        )
+        offs = (np.arange(f * b) * (n * n)).reshape(f, b, 1)
+        vals = samples * self.sign[:, None, :]
+        spec = _scatter_add(self.flat_index[:, None, :] + offs, vals, f * b * n * n)
         return _fft.ifft2(spec.reshape(f, b, n, n), workers=_FFT_WORKERS) * (n * n)
 
     def normal_kernel(self, mix):
@@ -217,7 +218,6 @@ class GriddingPlan:
         self.width = w
         self.frames, self.d = pts.shape[:2]
         self.points = pts
-        self._scatter_cache = {}
 
         # image-domain apodization correction (separable)
         t = (np.arange(n) - n // 2) / float(g)
@@ -244,20 +244,6 @@ class GriddingPlan:
             out[lo:hi] = np.sum(gathered * self.weights[lo:hi, None], axis=3)
         return out
 
-    def _scatter_index(self, lo, hi, b):
-        """Doubled (re, im interleaved) scatter indices, cached per chunk."""
-        key = (lo, hi, b)
-        idx3 = self._scatter_cache.get(key)
-        if idx3 is None:
-            g2 = self.grid * self.grid
-            nf = hi - lo
-            offs = (np.arange(nf * b) * g2).reshape(nf, b, 1, 1)
-            idx = (self.flat_index[lo:hi, None, :, :] + offs).ravel()
-            idx3 = np.repeat(2 * idx, 2)
-            idx3[1::2] += 1
-            self._scatter_cache[key] = idx3
-        return idx3
-
     def adjoint(self, samples):
         """samples (F, B, d) -> images (F, B, N, N); exact transpose of forward."""
         f, b = samples.shape[:2]
@@ -267,12 +253,9 @@ class GriddingPlan:
             hi = min(lo + _FRAME_CHUNK, f)
             nf = hi - lo
             vals = samples[lo:hi, :, :, None] * self.weights[lo:hi, None].conj()
-            pairs = np.bincount(
-                self._scatter_index(lo, hi, b),
-                weights=np.ascontiguousarray(vals).ravel().view(np.float64),
-                minlength=2 * nf * b * g * g,
-            )
-            spec = pairs.view(np.complex128).reshape(nf, b, g, g)
+            offs = (np.arange(nf * b) * (g * g)).reshape(nf, b, 1, 1)
+            idx = self.flat_index[lo:hi, None, :, :] + offs
+            spec = _scatter_add(idx, vals, nf * b * g * g).reshape(nf, b, g, g)
             cropped = _oversampled_fft2_adjoint(spec, n)
             out[lo:hi] = cropped / self.apod
         return out

@@ -12,6 +12,7 @@ Round-trips are bit-exact for every supported dtype, including empty tensors.
 """
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -46,17 +47,24 @@ def write_tensor(path, arr):
 
 
 def read_tensor(path):
-    """Read a tensor written by write_tensor; returns a native-dtype ndarray."""
+    """Read a tensor written by write_tensor; returns a native-dtype ndarray.
+
+    A truncated or corrupt file raises ValueError naming the path.
+    """
     raw = Path(path).read_bytes()
     if raw[:6] != MAGIC:
         raise ValueError(f"{path}: bad magic, not a tensor file")
-    code, ndim = struct.unpack_from("<BB", raw, 6)
+    if len(raw) < 8 or len(raw) < 8 + 8 * raw[7]:
+        raise ValueError(f"{path}: truncated header")
+    code, ndim = raw[6], raw[7]
     if code not in _CODE_TO_DTYPE:
         raise ValueError(f"{path}: unknown dtype code {code}")
     dims = struct.unpack_from(f"<{ndim}Q", raw, 8)
     offset = 8 + 8 * ndim
     dtype = np.dtype(_CODE_TO_DTYPE[code])
-    count = int(np.prod(dims, dtype=np.int64)) if ndim else 1
+    if math.prod(d for d in dims if d) * dtype.itemsize > np.iinfo(np.intp).max:
+        raise ValueError(f"{path}: dims {dims} exceed the addressable size")
+    count = math.prod(dims)
     payload = raw[offset:]
     if len(payload) != count * dtype.itemsize:
         raise ValueError(f"{path}: payload length does not match dims")

@@ -1,4 +1,6 @@
 import json
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -25,12 +27,12 @@ TINY_CONFIG = {
 }
 
 
-def run_cli(*args, threads=None):
+def run_cli(*args, threads=None, env=None):
     cmd = [sys.executable, "-m", "mrfrecon"]
     if threads is not None:
         cmd += ["--threads", str(threads)]
     cmd += [str(a) for a in args]
-    return subprocess.run(cmd, capture_output=True, text=True)
+    return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
 
 def write_config(tmp_path, overrides=None, name="config.json"):
@@ -231,6 +233,60 @@ def test_simulate_determinism_bit_identical(pipeline, tmp_path):
             assert ma == mb
         else:
             assert fa[name] == fb[name], f"{name} differs between runs"
+
+
+# 32x32, 200 frames, 662 atoms: large enough that a threaded OpenBLAS splits
+# the subspace SVD and the k-space matmuls across cores
+BLAS_CONFIG = {
+    "sequence": {"n_frames": 200},
+    "grid": {"t1": {"count": 30}, "t2": {"count": 25}},
+    "trajectory": {"kind": "golden_radial", "r": 2},
+    "coils": {"count": 2},
+    "phantom": {"matrix": 32},
+}
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_outputs_independent_of_blas_thread_environment(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(BLAS_CONFIG))
+    base = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    trees = []
+    for name, extra in (("pinned", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
+        env = dict(base, **extra)
+        out = tmp_path / name
+        for args in (
+            ("build-dict", "--config", cfg, "--out", out / "dict"),
+            ("simulate", "--config", cfg, "--dict", out / "dict", "--out", out / "sim"),
+            (
+                "reconstruct", "--config", cfg, "--data", out / "sim",
+                "--dict", out / "dict", "--method", "dm-pgd", "--out", out / "rec",
+            ),
+        ):
+            r = run_cli(*args, threads=1, env=env)
+            assert r.returncode == 0, r.stderr
+        trees.append(
+            {k: v for k, v in _file_map(out).items() if not k.endswith("manifest.json")}
+        )
+    assert set(trees[0]) == set(trees[1])
+    differ = [k for k in trees[0] if trees[0][k] != trees[1][k]]
+    assert not differ, f"outputs depend on the BLAS thread count: {differ}"
+
+
+def test_truncated_kspace_is_a_one_line_runtime_error(pipeline, tmp_path):
+    root, cfg = pipeline
+    sim = tmp_path / "sim"
+    shutil.copytree(root / "sim", sim)
+    data = (sim / "kspace.mrfb").read_bytes()
+    (sim / "kspace.mrfb").write_bytes(data[:20])  # cut inside the dims
+    r = run_cli(
+        "reconstruct", "--config", cfg, "--data", sim, "--dict", root / "dict",
+        "--method", "bp-dm", "--out", tmp_path / "rec",
+    )
+    assert r.returncode == 1
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1 and "kspace.mrfb" in lines[0], r.stderr
 
 
 def test_rerun_from_manifest_reproduces_outputs(pipeline, tmp_path):

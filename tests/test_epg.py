@@ -78,6 +78,19 @@ def test_truncation_stability_around_default():
     assert np.linalg.norm(a50 - a100) / np.linalg.norm(a100) < 1e-6
 
 
+def test_truncation_tolerance_at_default_length():
+    # The promise at the default L=1000: k_max=50 stays within 5e-3 relative
+    # of a k_max=300 reference on the default grid's corners (with T2 <= T1).
+    # The worst corner is T1/T2 = 4000/600 ms at 2.8e-3; k_max=20 gives 1.5e-2.
+    seq = SequenceParams(sinusoidal_flip_schedule(1000), 10.0, 1.8, 18.0, True)
+    t1 = np.array([100.0, 4000.0, 4000.0])
+    t2 = np.array([10.0, 10.0, 600.0])
+    ref = simulate_epg_batch(seq, t1, t2, k_max=300)
+    a50 = simulate_epg_batch(seq, t1, t2, k_max=50)
+    rel = np.linalg.norm(a50 - ref, axis=1) / np.linalg.norm(ref, axis=1)
+    assert rel.max() < 5e-3
+
+
 def test_grid_agreement_with_oracle_small():
     seq = SequenceParams(sinusoidal_flip_schedule(100), 10.0, 1.8, 18.0, True)
     for t1, t2 in [(300.0, 30.0), (1000.0, 110.0), (2000.0, 300.0)]:

@@ -148,6 +148,44 @@ def test_unrolled_inference_equals_pgd_engine():
     npt.assert_allclose(m_node.value[2], maps_engine.pd, rtol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "cfg", [TrainConfig(), TrainConfig(beta=(0.0, 0.0, 0.0), lam=1.0)], ids=["default", "kspace_only"]
+)
+def test_unrolled_loss_matches_numpy_reference(cfg):
+    # full Cartesian frames make N exactly H^H H, so the tape's quadratic-form
+    # k-space term must equal the explicit residual through forward/adjoint
+    rng = np.random.default_rng(11)
+    n, s, frames = 8, 2, 6
+    traj = make_trajectory("cartesian_full", n, frames=frames)
+    basis = np.linalg.qr(rng.standard_normal((frames, s)))[0].astype(complex)
+    op = AcquisitionOperator(simulate_coil_maps(2, n), traj, basis)
+    model = tiny_model(seed=11, s=s, iterations=1)
+    model.log_alpha.value[:] = np.log(0.5 / op.estimate_operator_norm(iters=20))
+    y = rng.standard_normal(op.kspace_shape) + 1j * rng.standard_normal(op.kspace_shape)
+    truth = QMaps(
+        t1_ms=rng.uniform(300, 2000, (n, n)),
+        t2_ms=rng.uniform(30, 200, (n, n)),
+        pd=rng.uniform(0.2, 1.0, (n, n)),
+        mask=np.ones((n, n), bool),
+    )
+    x0 = op.backproject(y, equalize=False)
+    loss, _ = unrolled_loss_nodes(Tape(), model, y, op, x0, truth, cfg)
+
+    g = x0 + model.step_sizes[0] * op.adjoint(y - op.forward(x0))
+    x1, maps = model.make_prox()(g)
+    resid = y - op.forward(x1)
+    kspace = np.vdot(resid, resid).real / (2 * y.size)
+    norms = (T1_BOUNDS_MS[1], T2_BOUNDS_MS[1], 1.0)
+    map_terms = [
+        np.mean(((est - ref) / norm) ** 2)
+        for est, ref, norm in zip(
+            (maps.t1_ms, maps.t2_ms, maps.pd), (truth.t1_ms, truth.t2_ms, truth.pd), norms
+        )
+    ]
+    expected = float(np.dot(cfg.beta, map_terms)) + cfg.lam * kspace
+    npt.assert_allclose(float(loss.value), expected, rtol=1e-10)
+
+
 def test_decoder_stays_frozen_through_training():
     model = tiny_model(seed=8)
     op = tiny_operator(seed=8)

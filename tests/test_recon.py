@@ -65,6 +65,29 @@ def test_identity_pgd_monotone_descent():
         assert np.all(fid[1:] <= fid[:-1] * (1 + 1e-9))
 
 
+@pytest.mark.parametrize(
+    "kind, rtol",
+    [("cartesian_full", 1e-12), ("cartesian_lines", 1e-12), ("golden_radial", 2e-3)],
+)
+@pytest.mark.parametrize("iterations", [1, 3])
+def test_trace_fidelity_matches_explicit_residual(kind, rtol, iterations):
+    # the trace's quadratic form against ||y - Hx||^2 through the forward
+    # operator: exact where N is H^H H, gridding accuracy on radial spokes
+    rng = np.random.default_rng(3)
+    n, s, frames = 16, 3, 10
+    traj = make_trajectory(kind, n, d=n, frames=frames)
+    basis = np.linalg.qr(rng.standard_normal((frames, s)))[0].astype(complex)
+    op = AcquisitionOperator(simulate_coil_maps(2, n), traj, basis)
+    x_true = rng.standard_normal((s, n, n)) + 1j * rng.standard_normal((s, n, n))
+    y = op.forward(x_true)
+    noise = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
+    y = y + 0.1 * np.abs(y).mean() * noise
+    cfg = PgdConfig(iterations=iterations)
+    _, x, trace = pgd_reconstruct(y, op, identity_prox, cfg)
+    resid = y - op.forward(x)
+    npt.assert_allclose(trace.fidelity[-1], np.vdot(resid, resid).real, rtol=rtol)
+
+
 def test_trace_contract(ls_problem):
     op, _, y = ls_problem
     for t in (1, 3):

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -90,6 +93,50 @@ def test_truncated_payload_rejected(tmp_path):
     path.write_bytes(data[:-8])
     with pytest.raises(ValueError, match="payload"):
         read_tensor(path)
+
+
+def _read_raises_value_error(path, data):
+    """Write `data` to `path`; reading it must raise ValueError naming it."""
+    path.write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning is a failure too
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_tensor(path)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    shape=st.lists(st.integers(0, 3), min_size=0, max_size=3),
+    dtype=st.sampled_from(DTYPES),
+)
+def test_every_prefix_of_a_valid_file_rejected(tmp_path_factory, shape, dtype):
+    path = tmp_path_factory.mktemp("cut") / "x.mrfb"
+    write_tensor(path, np.ones(shape, dtype=dtype))
+    data = path.read_bytes()
+    for cut in range(len(data)):
+        _read_raises_value_error(path, data[:cut])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 2**64 - 1), min_size=0, max_size=3),
+    huge=st.integers(2**40, 2**64 - 1),
+    code=st.integers(1, 4),
+    payload=st.binary(max_size=64),
+)
+def test_absurd_dims_rejected(tmp_path_factory, dims, huge, code, payload):
+    dims = [huge] + dims
+    header = b"MRFB1\x00" + bytes([code, len(dims)])
+    header += b"".join(d.to_bytes(8, "little") for d in dims)
+    path = tmp_path_factory.mktemp("dims") / "x.mrfb"
+    _read_raises_value_error(path, header + payload)
+
+
+@pytest.mark.parametrize("dims", [(0, 2**63), (0, 2**62, 2**62)])
+def test_empty_tensor_with_unaddressable_dims_rejected(tmp_path, dims):
+    header = b"MRFB1\x00" + bytes([2, len(dims)])
+    header += b"".join(d.to_bytes(8, "little") for d in dims)
+    _read_raises_value_error(tmp_path / "x.mrfb", header)
 
 
 def test_checkpoint_roundtrip(tmp_path):
