@@ -61,7 +61,7 @@ from .recon import (
     make_dictionary_prox,
     pgd_reconstruct,
 )
-from .tensorfile import read_json, read_tensor, write_json, write_tensor
+from .tensorfile import open_fresh, read_json, read_tensor, write_json, write_tensor
 
 DEFAULT_CONFIG = {
     "sequence": {
@@ -384,23 +384,32 @@ def write_pgm16(path, img, lo, hi):
     scaled = np.clip((np.asarray(img, dtype=float) - lo) / (hi - lo), 0.0, 1.0)
     data = np.round(scaled * 65535.0).astype(">u2")
     h, w = data.shape
-    with open(path, "wb") as fh:
+    with open_fresh(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n65535\n".encode())
         fh.write(data.tobytes())
 
 
 def write_trace_csv(path, trace):
-    with open(path, "w") as fh:
+    with open_fresh(path, "w") as fh:
         fh.write("iteration,fidelity\n")
         for i, fid in trace.to_rows():
             fh.write(f"{i},{fid:.17g}\n")
 
 
 def write_metrics_csv(path, rows):
-    with open(path, "w") as fh:
+    with open_fresh(path, "w") as fh:
         fh.write("property,nrmse,mae\n")
         for prop, nr, ma in rows:
             fh.write(f"{prop},{nr:.17g},{ma:.17g}\n")
+
+
+def write_loss_history_csv(path, stages):
+    """One `stage,epoch,loss` row per epoch; `stages` maps a stage to its losses."""
+    with open_fresh(path, "w") as fh:
+        fh.write("stage,epoch,loss\n")
+        for stage, history in stages.items():
+            for i, v in enumerate(history):
+                fh.write(f"{stage},{i},{v:.17g}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -675,14 +684,10 @@ def cmd_train(args):
         },
         loss_history=history,
     )
-    with open(outdir / "loss_history.csv", "w") as fh:
-        fh.write("stage,epoch,loss\n")
-        for i, v in enumerate(dec_history):
-            fh.write(f"decoder,{i},{v:.17g}\n")
-        for i, v in enumerate(enc_history):
-            fh.write(f"baseline,{i},{v:.17g}\n")
-        for i, v in enumerate(history):
-            fh.write(f"unrolled,{i},{v:.17g}\n")
+    write_loss_history_csv(
+        outdir / "loss_history.csv",
+        {"decoder": dec_history, "baseline": enc_history, "unrolled": history},
+    )
     write_manifest(
         outdir,
         "train",

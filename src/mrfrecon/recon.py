@@ -19,7 +19,7 @@ DIVERGENCE_FACTOR = 1e6
 
 @dataclass
 class PgdConfig:
-    """Iteration count, per-iteration step sizes, and prox selection.
+    """Settings of one PGD run: iteration count, step sizes, trace and init.
 
     step_sizes may be a scalar (replicated) or a length-T positive vector;
     None means 1/lambda_max estimated by power iteration.
@@ -27,7 +27,6 @@ class PgdConfig:
 
     iterations: int = 5
     step_sizes: np.ndarray = None
-    prox: str = "dictionary"
     record_trace: bool = True
     power_iters: int = 30
     init_equalize: bool = True

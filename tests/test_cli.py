@@ -289,6 +289,75 @@ def test_truncated_kspace_is_a_one_line_runtime_error(pipeline, tmp_path):
     assert len(lines) == 1 and "kspace.mrfb" in lines[0], r.stderr
 
 
+@pytest.mark.parametrize(
+    "where, name, cut",
+    [
+        ("dict", "dict.json", True),
+        ("sim", "trajectory.json", True),
+        ("sim", "manifest.json", True),
+        ("dict", "dict.json", False),
+    ],
+    ids=["dict.json", "trajectory.json", "manifest.json", "missing-dict.json"],
+)
+def test_corrupt_or_missing_sidecar_is_a_one_line_runtime_error(
+    pipeline, tmp_path, where, name, cut
+):
+    root, cfg = pipeline
+    for d in ("dict", "sim"):
+        shutil.copytree(root / d, tmp_path / d)
+    path = tmp_path / where / name
+    if cut:
+        path.write_bytes(path.read_bytes()[:10])
+    else:
+        path.unlink()
+    r = run_cli(
+        "reconstruct", "--config", cfg, "--data", tmp_path / "sim",
+        "--dict", tmp_path / "dict", "--method", "bp-dm", "--out", tmp_path / "rec",
+    )
+    assert r.returncode == 1
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1 and str(path) in lines[0], r.stderr
+
+
+def test_rerun_into_same_out_replaces_every_output(tmp_path):
+    """A rerun writes new files: byte-identical, none shared with an old hardlink."""
+    cfg = write_config(tmp_path)
+    out, links = tmp_path / "out", tmp_path / "links"
+    commands = (
+        ("build-dict", "--config", cfg, "--out", out / "dict"),
+        ("simulate", "--config", cfg, "--dict", out / "dict", "--out", out / "sim"),
+        (
+            "reconstruct", "--config", cfg, "--data", out / "sim",
+            "--dict", out / "dict", "--method", "dm-pgd", "--out", out / "rec",
+        ),
+        ("eval", "--est", out / "rec", "--truth", out / "sim" / "truth",
+         "--out", out / "metrics.csv"),
+        ("render", "--maps", out / "rec", "--out", out / "pgm"),
+    )
+    for args in commands:
+        r = run_cli(*args)
+        assert r.returncode == 0, r.stderr
+    first = _file_map(out)
+    assert "rec/trace.csv" in first and "metrics.csv" in first and "pgm/t1.pgm" in first
+    for name in first:
+        (links / name).parent.mkdir(parents=True, exist_ok=True)
+        os.link(out / name, links / name)
+    for args in commands:
+        r = run_cli(*args)
+        assert r.returncode == 0, r.stderr
+    second = _file_map(out)
+    assert set(second) == set(first)
+    for name in first:
+        assert not os.path.samefile(out / name, links / name), name
+        if name.endswith("manifest.json"):
+            a, b = json.loads(first[name]), json.loads(second[name])
+            a.pop("wall_time_s")
+            b.pop("wall_time_s")
+            assert a == b, name
+        else:
+            assert second[name] == first[name], name
+
+
 def test_rerun_from_manifest_reproduces_outputs(pipeline, tmp_path):
     root, _ = pipeline
     manifest = read_json(root / "sim" / "manifest.json")

@@ -31,7 +31,7 @@ def ls_problem():
 def test_identity_pgd_reaches_least_squares(ls_problem):
     op, x_true, y = ls_problem
     lam = op.estimate_operator_norm(iters=30)
-    cfg = PgdConfig(iterations=50, step_sizes=1.0 / lam, prox="identity")
+    cfg = PgdConfig(iterations=50, step_sizes=1.0 / lam)
     maps, x, trace = pgd_reconstruct(y, op, identity_prox, cfg)
     assert maps is None
     assert trace.fidelity[-1] < 1e-8

@@ -1,5 +1,9 @@
+import ast
+import os
 import re
+import stat
 import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -7,10 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mrfrecon
 from mrfrecon.tensorfile import (
     load_checkpoint,
+    open_fresh,
+    read_json,
     read_tensor,
     save_checkpoint,
+    write_json,
     write_tensor,
 )
 
@@ -150,3 +158,144 @@ def test_checkpoint_roundtrip(tmp_path):
     assert manifest["iterations"] == 5
     assert set(back) == {"w1", "b1"}
     npt.assert_array_equal(back["w1"], arrays["w1"])
+
+
+# ---------------------------------------------------------------------------
+# writes replace regular files and go through symlinks and special files
+
+WRITERS = {
+    "tensor": (write_tensor, np.arange(4.0), np.arange(9.0), read_tensor),
+    "json": (write_json, {"a": 1}, {"b": [2, 3]}, read_json),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+def test_rewrite_replaces_regular_file(tmp_path, kind):
+    write, old, new, read = WRITERS[kind]
+    path, link = tmp_path / "out", tmp_path / "link"
+    write(path, old)
+    old_bytes = path.read_bytes()
+    os.link(path, link)
+    write(path, new)
+    assert not os.path.samefile(path, link)
+    assert link.read_bytes() == old_bytes
+    npt.assert_equal(read(path), new)
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+def test_write_through_symlink_updates_target(tmp_path, kind):
+    write, old, new, read = WRITERS[kind]
+    target, path = tmp_path / "target", tmp_path / "out"
+    write(target, old)
+    path.symlink_to(target)
+    write(path, new)
+    assert path.is_symlink() and os.readlink(path) == str(target)
+    npt.assert_equal(read(target), new)
+
+
+def test_open_fresh_writes_into_fifo(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so the writer does not block
+    try:
+        with open_fresh(fifo, "wb") as fh:
+            fh.write(b"abc")
+        assert os.read(reader, 16) == b"abc"
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
+def test_read_json_names_a_corrupt_file(tmp_path):
+    path = tmp_path / "cut.json"
+    write_json(path, {"a": [1, 2]})
+    path.write_bytes(path.read_bytes()[:10])
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        read_json(path)
+
+
+# ---------------------------------------------------------------------------
+# guard: every file the package writes is opened by open_fresh
+
+STREAM_MODULES = {"io", "builtins", "gzip", "bz2", "lzma", "codecs"}
+IN_PLACE_WRITERS = {"write_text", "write_bytes", "tofile", "save", "savez", "savetxt"}
+
+
+def _mode_arg(call):
+    """The mode argument of an open call, or None when it takes the default."""
+    for kw in call.keywords:
+        if kw.arg == "mode":
+            return kw.value
+    func = call.func
+    stream = isinstance(func, ast.Name) or (
+        isinstance(func.value, ast.Name) and func.value.id in STREAM_MODULES
+    )
+    index = 1 if stream else 0  # Path.open takes the mode first
+    return call.args[index] if len(call.args) > index else None
+
+
+def _writes_in_place(call):
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if isinstance(func, ast.Attribute) and name in IN_PLACE_WRITERS:
+        return True
+    if name != "open":
+        return False
+    mode = _mode_arg(call)
+    if mode is None:
+        return False
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return True  # a mode the scan cannot read may write
+    return any(c in mode.value for c in "wa+")
+
+
+def in_place_writes(source, filename):
+    """Line numbers of calls in `source` that may write a file in place.
+
+    Calls inside tensorfile.open_fresh, which replaces regular files, are exempt.
+    """
+    tree = ast.parse(source)
+    exempt = set()
+    if filename == "tensorfile.py":
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "open_fresh":
+                exempt.update(id(n) for n in ast.walk(node))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and id(node) not in exempt and _writes_in_place(node)
+    ]
+
+
+@pytest.mark.parametrize(
+    "line, flagged",
+    [
+        ('open(p, "w")', True),
+        ('open(p, mode="ab")', True),
+        ('open(p, "r+b")', True),
+        ("open(p, m)", True),
+        ('io.open(p, "w")', True),
+        ('gzip.open(p, "wt")', True),
+        ('p.open("w")', True),
+        ('p.write_text("x")', True),
+        ("np.save(p, a)", True),
+        ("open(p)", False),
+        ('open(p, "rb")', False),
+        ('io.open("w.txt")', False),
+        ('p.open("rb")', False),
+        ("p.read_text()", False),
+    ],
+)
+def test_in_place_write_scan(line, flagged):
+    assert bool(in_place_writes(line, "cli.py")) == flagged
+    wrapped = f"def open_fresh(p, m):\n    return {line}\n"
+    assert in_place_writes(wrapped, "tensorfile.py") == []
+
+
+def test_package_opens_files_for_writing_only_through_open_fresh():
+    offenders = [
+        f"{path.name}:{line}"
+        for path in sorted(Path(mrfrecon.__file__).parent.glob("*.py"))
+        for line in in_place_writes(path.read_text(), path.name)
+    ]
+    assert not offenders, f"write through tensorfile.open_fresh instead: {offenders}"
