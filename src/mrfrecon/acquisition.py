@@ -246,14 +246,16 @@ class AcquisitionOperator:
     def normal(self, x):
         """H^H H x = sum_c S_c^H [K * (S_c x)] with the exact NUDFT kernel.
 
-        K_ij = sum_t conj(B_ti) B_tj psf_t is built on first use and cached;
-        it holds s^2 (2N)^2 complex values. For gridded trajectories the
-        result differs from adjoint(forward(x)) by the gridding error only.
+        K_ij = sum_t conj(B_ti) B_tj psf_t is built on first use and cached,
+        frequency-major: one s x s block per frequency of the 2N grid,
+        (2N)^2 s^2 values. They are real when the basis is (always so in the
+        pipeline: zero-phase RF, real SVD basis), else complex with Hermitian
+        blocks. For gridded trajectories the result differs from
+        adjoint(forward(x)) by the gridding error only.
         """
         x = self._check_image(x)
         if self._normal_kernel is None:
-            mix = self.basis.conj()[:, :, None] * self.basis[:, None, :]  # (F, s, s)
-            self._normal_kernel = self.plan.normal_kernel(mix)
+            self._normal_kernel = self.plan.normal_kernel(self.basis)
         coil_imgs = self.coil_maps[:, None] * x[None]  # (C, s, N, N)
         out = nufft.toeplitz_normal(self._normal_kernel, coil_imgs)
         return np.sum(out * self.coil_maps.conj()[:, None], axis=0)

@@ -151,11 +151,12 @@ def _match_arrays(x_flat, unit_atoms, scale):
     """Exhaustive inner-product matching over flattened voxels.
 
     x_flat: (channels, n_vox). Returns (atom index, pd) per voxel; ties break
-    to the lowest atom index via argmax.
+    to the lowest atom index via argmax. Correlations are voxel-major, so the
+    argmax runs along contiguous rows.
     """
-    corr = np.abs(unit_atoms.conj() @ x_flat)
-    jstar = np.argmax(corr, axis=0)
-    best = corr[jstar, np.arange(x_flat.shape[1])]
+    corr = np.abs(x_flat.T @ unit_atoms.conj().T)  # (n_vox, n_atoms)
+    jstar = np.argmax(corr, axis=1)
+    best = corr[np.arange(x_flat.shape[1]), jstar]
     pd = best / scale[jstar]
     return jstar, pd
 

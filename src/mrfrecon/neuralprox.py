@@ -231,22 +231,41 @@ def prox_nodes(tape, encoder, decoder, g_node):
     return tape.mul(x, pd), m
 
 
-def unrolled_loss_nodes(tape, model, y, op, x0, truth, cfg):
+def sample_constants(y, op, x0):
+    """Per-sample constants of the unrolled loss, fixed for a sample:
+    (H^H y as real planes, ||y||^2, N x0 as real planes)."""
+    y = np.asarray(y)
+    return c2r_channels(op.adjoint(y)), np.vdot(y, y).real, c2r_channels(op.normal(x0))
+
+
+def _map_terms(tape, m, truth):
+    """Normalized MSE node of each of the T1/T2/PD planes of m against truth."""
+    targets = (truth.t1_ms, truth.t2_ms, truth.pd)
+    return [
+        tape.mse(
+            tape.scale(tape.slice_axis0(m, j, j + 1), 1.0 / MAP_NORMS[j]),
+            targets[j][None] / MAP_NORMS[j],
+        )
+        for j in range(3)
+    ]
+
+
+def unrolled_loss_nodes(tape, model, y, op, x0, truth, cfg, constants=None):
     """Record the unrolled forward pass and its two-term training loss.
 
     Map loss is evaluated on the final iterate only; the k-space consistency
     term ||y - Hx||^2 / (2 y.size), summed over every iterate, is taken as
     ||y||^2 + Re<x, Nx - 2 H^H y>, so no k-space array sits on the tape.
+    `constants` is sample_constants(y, op, x0), computed here when omitted.
     Returns (loss node, final maps node).
     """
     y = np.asarray(y)
-    b = c2r_channels(op.adjoint(y))
+    b, ysq, nx0 = sample_constants(y, op, x0) if constants is None else constants
     b_node = tape.constant(b)
     b2_node = tape.constant(2.0 * b)
-    ysq = tape.constant(np.vdot(y, y).real)
-    x0 = np.asarray(x0)
-    x = tape.constant(c2r_channels(x0))
-    nx = tape.constant(c2r_channels(op.normal(x0)))
+    ysq = tape.constant(ysq)
+    x = tape.constant(c2r_channels(np.asarray(x0)))
+    nx = tape.constant(nx0)
     log_alpha = tape.leaf(model.log_alpha)
 
     ks_terms = []
@@ -258,14 +277,8 @@ def unrolled_loss_nodes(tape, model, y, op, x0, truth, cfg):
         nx = tape.apply_normal(x, op)
         ks_terms.append(tape.add(ysq, tape.vdot(x, tape.sub(nx, b2_node))))
 
-    map_terms = []
-    targets = (truth.t1_ms, truth.t2_ms, truth.pd)
-    for j in range(3):
-        chan = tape.scale(tape.slice_axis0(m, j, j + 1), 1.0 / MAP_NORMS[j])
-        map_terms.append(tape.mse(chan, targets[j][None] / MAP_NORMS[j]))
-
     loss = tape.weighted_sum(
-        map_terms + ks_terms,
+        _map_terms(tape, m, truth) + ks_terms,
         list(cfg.beta) + [cfg.lam / (2 * y.size)] * model.iterations,
     )
     return loss, m
@@ -275,6 +288,23 @@ def _check_gradients(grads):
     for p, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise TrainingFailure(f"non-finite gradient for {p.name}")
+
+
+def _epoch_losses(samples, params, cfg, loss_of):
+    """Adam on `params` over cfg.epochs shuffled passes; yields each epoch's
+    mean loss. loss_of(tape, *sample) records one sample's loss node."""
+    opt = Adam(params, lr=cfg.lr)
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.epochs):
+        total = 0.0
+        for idx in rng.permutation(len(samples)):
+            tape = Tape()
+            loss = loss_of(tape, *samples[idx])
+            grads = tape.backward(loss)
+            _check_gradients(grads)
+            opt.step(grads)
+            total += float(loss.value)
+        yield total / len(samples)
 
 
 def train_unrolled(dataset, op, model, cfg):
@@ -293,29 +323,19 @@ def train_unrolled(dataset, op, model, cfg):
         raise ValueError("dataset must be non-empty")
     if not model.decoder.frozen:
         raise ValueError("decoder must be pretrained and frozen before unrolling")
-    samples = [
-        (np.asarray(y), op.backproject(y, equalize=False), truth)
-        for y, truth in dataset
-    ]
-    opt = Adam(model.trainable_parameters(), lr=cfg.lr)
-    rng = np.random.default_rng(cfg.seed)
+    samples = []
+    for y, truth in dataset:
+        x0 = op.backproject(y, equalize=False)
+        samples.append((np.asarray(y), x0, truth, sample_constants(y, op, x0)))
+
+    def loss_of(tape, y, x0, truth, constants):
+        return unrolled_loss_nodes(tape, model, y, op, x0, truth, cfg, constants)[0]
+
     history = []
-    for _ in range(cfg.epochs):
-        order = rng.permutation(len(samples))
-        total = 0.0
-        for idx in order:
-            y, x0, truth = samples[idx]
-            tape = Tape()
-            loss, _ = unrolled_loss_nodes(tape, model, y, op, x0, truth, cfg)
-            grads = tape.backward(loss)
-            _check_gradients(grads)
-            opt.step(grads)
-            total += float(loss.value)
-        history.append(total / len(samples))
-        if not np.isfinite(history[-1]) or (
-            len(history) > 1 and history[-1] > 1e6 * max(history[0], 1e-300)
-        ):
-            raise TrainingFailure(f"training diverged: epoch loss {history[-1]:g}")
+    for loss in _epoch_losses(samples, model.trainable_parameters(), cfg, loss_of):
+        history.append(loss)
+        if not np.isfinite(loss) or (len(history) > 1 and loss > 1e6 * max(history[0], 1e-300)):
+            raise TrainingFailure(f"training diverged: epoch loss {loss:g}")
     return model, history
 
 
@@ -327,28 +347,15 @@ def pretrain_encoder(dataset, op, encoder, cfg):
         (c2r_channels(op.backproject(y, equalize=False)), truth)
         for y, truth in dataset
     ]
-    opt = Adam(encoder.parameters(), lr=cfg.lr)
-    rng = np.random.default_rng(cfg.seed)
+
+    def loss_of(tape, x0, truth):
+        m = encoder.apply(tape, tape.constant(x0))
+        return tape.weighted_sum(_map_terms(tape, m, truth), list(cfg.beta))
+
     history = []
-    for _ in range(cfg.epochs):
-        order = rng.permutation(len(samples))
-        total = 0.0
-        for idx in order:
-            x0, truth = samples[idx]
-            tape = Tape()
-            m = encoder.apply(tape, tape.constant(x0))
-            targets = (truth.t1_ms, truth.t2_ms, truth.pd)
-            terms = []
-            for j in range(3):
-                chan = tape.scale(tape.slice_axis0(m, j, j + 1), 1.0 / MAP_NORMS[j])
-                terms.append(tape.mse(chan, targets[j][None] / MAP_NORMS[j]))
-            loss = tape.weighted_sum(terms, list(cfg.beta))
-            grads = tape.backward(loss)
-            _check_gradients(grads)
-            opt.step(grads)
-            total += float(loss.value)
-        history.append(total / len(samples))
-        if not np.isfinite(history[-1]):
+    for loss in _epoch_losses(samples, encoder.parameters(), cfg, loss_of):
+        history.append(loss)
+        if not np.isfinite(loss):
             raise TrainingFailure("encoder pretraining diverged")
     return encoder, history
 

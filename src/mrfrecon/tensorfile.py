@@ -119,11 +119,25 @@ def write_json(path, obj):
         fh.write("\n")
 
 
+class _JsonObject(dict):
+    """A JSON object read from `path`: a missing key raises ValueError naming both."""
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.path}: missing key {key!r}")
+
+
 def read_json(path):
-    """Read a JSON file; undecodable contents raise ValueError naming the path."""
+    """Read a JSON file; undecodable contents or a missing key raise ValueError
+    naming the path."""
+
+    def named(pairs):
+        obj = _JsonObject(pairs)
+        obj.path = path
+        return obj
+
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_hook=named)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 

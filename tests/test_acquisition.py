@@ -13,12 +13,15 @@ from mrfrecon.acquisition import (
 )
 
 
-def make_random_operator(seed, n=16, coils=2, s=3, frames=12, kind="golden_radial"):
+def make_random_operator(
+    seed, n=16, coils=2, s=3, frames=12, kind="golden_radial", basis="complex"
+):
     rng = np.random.default_rng(seed)
     traj = make_trajectory(kind, n, d=n, frames=frames)
-    basis = np.linalg.qr(
-        rng.standard_normal((frames, s)) + 1j * rng.standard_normal((frames, s))
-    )[0]
+    raw = rng.standard_normal((frames, s))
+    if basis == "complex":
+        raw = raw + 1j * rng.standard_normal((frames, s))
+    basis = np.linalg.qr(raw)[0]
     return AcquisitionOperator(simulate_coil_maps(coils, n), traj, basis)
 
 
@@ -243,9 +246,14 @@ def _random_tsmi(rng, s, n):
     return rng.standard_normal((s, n, n)) + 1j * rng.standard_normal((s, n, n))
 
 
-def test_normal_matches_materialized_direct_dft():
+# the pipeline's basis is real (zero-phase RF), which makes the kernel real
+BASES = ["complex", "real"]
+
+
+@pytest.mark.parametrize("basis", BASES)
+def test_normal_matches_materialized_direct_dft(basis):
     n, s = 8, 2
-    op = make_random_operator(7, n=n, coils=2, s=s, frames=6)
+    op = make_random_operator(7, n=n, coils=2, s=s, frames=6, basis=basis)
     r = np.arange(n) - n // 2
     # direct-DFT H as a dense matrix: rows (frame, coil, sample), columns (channel, pixel)
     h = np.zeros((6, 2, n, s, n * n), dtype=complex)
@@ -264,12 +272,25 @@ def test_normal_matches_materialized_direct_dft():
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
+@pytest.mark.parametrize("basis", BASES)
 @pytest.mark.parametrize("kind", ["cartesian_full", "cartesian_lines"])
-def test_normal_matches_exact_cartesian_path(kind):
-    op = make_random_operator(8, n=16, coils=2, s=3, frames=12, kind=kind)
+def test_normal_matches_exact_cartesian_path(kind, basis):
+    op = make_random_operator(8, n=16, coils=2, s=3, frames=12, kind=kind, basis=basis)
     x = _random_tsmi(np.random.default_rng(80), 3, 16)
     expected = op.adjoint(op.forward(x))
     assert np.linalg.norm(op.normal(x) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("basis", BASES)
+@pytest.mark.parametrize("kind", ["golden_radial", "cartesian_lines"])
+def test_normal_kernel_blocks(kind, basis):
+    """Frequency-major (P, s, s) blocks: real symmetric for a real basis,
+    complex Hermitian for a complex one."""
+    op = make_random_operator(12, n=8, coils=1, s=3, frames=10, kind=kind, basis=basis)
+    kernel = op.plan.normal_kernel(op.basis)
+    assert kernel.shape == (16 * 16, 3, 3)
+    assert np.isrealobj(kernel) == (basis == "real")
+    npt.assert_array_equal(kernel, kernel.conj().transpose(0, 2, 1))
 
 
 def test_normal_matches_gridded_radial():

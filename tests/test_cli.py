@@ -290,26 +290,33 @@ def test_truncated_kspace_is_a_one_line_runtime_error(pipeline, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "where, name, cut",
+    "where, name, damage",
     [
-        ("dict", "dict.json", True),
-        ("sim", "trajectory.json", True),
-        ("sim", "manifest.json", True),
-        ("dict", "dict.json", False),
+        ("dict", "dict.json", "cut"),
+        ("sim", "trajectory.json", "cut"),
+        ("sim", "manifest.json", "cut"),
+        ("dict", "dict.json", "delete"),
+        ("dict", "dict.json", b"{}"),
+        ("sim", "trajectory.json", b'{"kind": "golden_radial"}'),
     ],
-    ids=["dict.json", "trajectory.json", "manifest.json", "missing-dict.json"],
+    ids=[
+        "dict.json", "trajectory.json", "manifest.json", "missing-dict.json",
+        "dict.json-no-keys", "trajectory.json-no-matrix",
+    ],
 )
 def test_corrupt_or_missing_sidecar_is_a_one_line_runtime_error(
-    pipeline, tmp_path, where, name, cut
+    pipeline, tmp_path, where, name, damage
 ):
     root, cfg = pipeline
     for d in ("dict", "sim"):
         shutil.copytree(root / d, tmp_path / d)
     path = tmp_path / where / name
-    if cut:
+    if damage == "cut":
         path.write_bytes(path.read_bytes()[:10])
-    else:
+    elif damage == "delete":
         path.unlink()
+    else:
+        path.write_bytes(damage)
     r = run_cli(
         "reconstruct", "--config", cfg, "--data", tmp_path / "sim",
         "--dict", tmp_path / "dict", "--method", "bp-dm", "--out", tmp_path / "rec",
@@ -317,6 +324,10 @@ def test_corrupt_or_missing_sidecar_is_a_one_line_runtime_error(
     assert r.returncode == 1
     lines = r.stderr.strip().splitlines()
     assert len(lines) == 1 and str(path) in lines[0], r.stderr
+    if damage == b"{}":
+        assert "'sequence'" in lines[0], r.stderr
+    elif isinstance(damage, bytes):
+        assert "'matrix'" in lines[0], r.stderr
 
 
 def test_rerun_into_same_out_replaces_every_output(tmp_path):

@@ -118,11 +118,13 @@ def _read_raises_value_error(path, data):
     dtype=st.sampled_from(DTYPES),
 )
 def test_every_prefix_of_a_valid_file_rejected(tmp_path_factory, shape, dtype):
-    path = tmp_path_factory.mktemp("cut") / "x.mrfb"
-    write_tensor(path, np.ones(shape, dtype=dtype))
-    data = path.read_bytes()
+    # each cut goes to a new file: rewriting one file in place for every cut
+    # would time the filesystem's writeback, not the reader
+    directory = tmp_path_factory.mktemp("cut")
+    write_tensor(directory / "x.mrfb", np.ones(shape, dtype=dtype))
+    data = (directory / "x.mrfb").read_bytes()
     for cut in range(len(data)):
-        _read_raises_value_error(path, data[:cut])
+        _read_raises_value_error(directory / f"x{cut}.mrfb", data[:cut])
 
 
 @settings(max_examples=50, deadline=None)
@@ -212,6 +214,16 @@ def test_read_json_names_a_corrupt_file(tmp_path):
     path.write_bytes(path.read_bytes()[:10])
     with pytest.raises(ValueError, match=re.escape(str(path))):
         read_json(path)
+
+
+def test_read_json_names_a_missing_key(tmp_path):
+    path = tmp_path / "meta.json"
+    write_json(path, {"a": {"b": 1}})
+    meta = read_json(path)
+    assert meta == {"a": {"b": 1}} and meta.get("c") is None
+    for get in (lambda m: m["c"], lambda m: m["a"]["c"]):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: missing key 'c'")):
+            get(meta)
 
 
 # ---------------------------------------------------------------------------
