@@ -7,7 +7,7 @@ exact conjugate transpose of this chain. Density compensation exists only in
 the standalone back-projection path, never inside gradient iterations.
 
 The normal operator H^H H has its own Toeplitz form (Fessler et al., IEEE TSP
-2005), with the subspace folded into s x s point-spread-function kernels
+2005), with the real subspace folded into s x s point-spread-function kernels
 (Tamir et al., MRM 2017): one zero-padded FFT pass over s*C images per
 application instead of per-frame NUFFTs both ways.
 """
@@ -246,16 +246,21 @@ class AcquisitionOperator:
     def normal(self, x):
         """H^H H x = sum_c S_c^H [K * (S_c x)] with the exact NUDFT kernel.
 
-        K_ij = sum_t conj(B_ti) B_tj psf_t is built on first use and cached,
-        frequency-major: one s x s block per frequency of the 2N grid,
-        (2N)^2 s^2 values. They are real when the basis is (always so in the
-        pipeline: zero-phase RF, real SVD basis), else complex with Hermitian
-        blocks. For gridded trajectories the result differs from
+        K_ij = sum_t B_ti B_tj psf_t is built on first use and cached,
+        frequency-major: one real s x s block per frequency of the 2N grid,
+        (2N)^2 s^2 values. Zero-phase RF makes the SVD basis real; a complex
+        one with zero imaginary part is used as its real part, any other
+        raises ValueError. For gridded trajectories the result differs from
         adjoint(forward(x)) by the gridding error only.
         """
         x = self._check_image(x)
         if self._normal_kernel is None:
-            self._normal_kernel = self.plan.normal_kernel(self.basis)
+            if np.any(self.basis.imag):
+                raise ValueError(
+                    "the normal operator needs a real temporal basis; this one "
+                    "has a nonzero imaginary part"
+                )
+            self._normal_kernel = self.plan.normal_kernel(self.basis.real)
         coil_imgs = self.coil_maps[:, None] * x[None]  # (C, s, N, N)
         out = nufft.toeplitz_normal(self._normal_kernel, coil_imgs)
         return np.sum(out * self.coil_maps.conj()[:, None], axis=0)
@@ -303,7 +308,8 @@ class AcquisitionOperator:
 
         Iterates normal(), so this is the lambda of the exact-NUDFT H^H H; on
         gridded trajectories it agrees with that of adjoint(forward(.)) to
-        gridding accuracy (about 1e-3 relative).
+        gridding accuracy (about 1e-3 relative). Like normal(), it needs a
+        real basis.
         """
         if iters < 1:
             raise ValueError("iters must be >= 1")

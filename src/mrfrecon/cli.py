@@ -281,11 +281,11 @@ def write_manifest(outdir, command, config, args, inputs, t0):
 def save_dictionary(outdir, grid, sub, s):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    write_tensor(outdir / "atoms.mrfb", grid.atoms.astype(np.complex128))
+    write_tensor(outdir / "atoms.mrfb", grid.atoms.astype(np.float64))
     write_tensor(outdir / "atom_norms.mrfb", grid.atom_norms.astype(np.float64))
     write_tensor(outdir / "atom_t1.mrfb", grid.atom_t1_ms.astype(np.float64))
     write_tensor(outdir / "atom_t2.mrfb", grid.atom_t2_ms.astype(np.float64))
-    write_tensor(outdir / "subspace.mrfb", sub.basis.astype(np.complex128))
+    write_tensor(outdir / "subspace.mrfb", sub.basis.astype(np.float64))
     write_tensor(
         outdir / "singular_values.mrfb", sub.singular_values.astype(np.float64)
     )
@@ -632,6 +632,7 @@ def cmd_train(args):
         n_offgrid=int(tc["decoder_offgrid"]),
         hidden=int(tc["decoder_hidden"]),
         threshold=float(tc["decoder_threshold"]),
+        k_max=k_max,
     )
     print(f"decoder loss: {dec_history[-1]:.3e}")
 

@@ -31,9 +31,9 @@ def valid_pairs(t1_values, t2_values):
 class DictionaryGrid:
     """Normalized fingerprints over a (T1, T2) grid.
 
-    atoms has unit-norm rows; atom_norms keeps the pre-normalization norms so
-    proton density can be de-scaled after matching. atom_t1_ms/atom_t2_ms map
-    an atom index back to its grid values.
+    atoms has unit-norm float64 rows; atom_norms keeps the pre-normalization
+    norms so proton density can be de-scaled after matching.
+    atom_t1_ms/atom_t2_ms map an atom index back to its grid values.
     """
 
     t1_values_ms: np.ndarray
@@ -55,7 +55,8 @@ class DictionaryGrid:
 
 @dataclass
 class Subspace:
-    """Temporal SVD basis: (L, s) with orthonormal columns, descending order."""
+    """Temporal SVD basis: (L, s) with orthonormal columns, descending order;
+    real for the simulated (real) atoms."""
 
     basis: np.ndarray
     singular_values: np.ndarray
@@ -108,7 +109,8 @@ def build_dictionary(seq, t1_values_ms=None, t2_values_ms=None, k_max=DEFAULT_K_
 
 
 def compute_subspace(grid, s):
-    """Top-s right singular vectors of the atom matrix (temporal directions)."""
+    """Top-s right singular vectors of the atom matrix (temporal directions);
+    a real SVD for real atoms."""
     n_atoms, n_frames = grid.atoms.shape
     if not 1 <= s <= min(n_frames, n_atoms):
         raise ValueError(f"s must lie in [1, {min(n_frames, n_atoms)}], got {s}")

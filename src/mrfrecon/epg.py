@@ -3,8 +3,9 @@
 Convention: RF pulses have zero phase and rotate magnetization about a fixed
 transverse axis, chosen so that a pulse applied to equilibrium tips spins onto
 the real axis (90 deg from equilibrium gives M+ = 1 + 0j). Under this
-convention the whole recursion is real-valued; signals are nevertheless stored
-complex so the rest of the pipeline is uniform.
+convention the whole recursion is real-valued, so states and fingerprints are
+float64. The isochromat oracle below stays complex, as the independent
+reference: its imaginary part is at rounding level.
 
 Each repetition applies: RF rotation, relaxation over TE (readout at TE),
 relaxation over TR - TE plus one unit of gradient dephasing. An optional
@@ -94,7 +95,8 @@ class EpgState:
 
     f_plus[k] holds the order-k transverse state F_k, f_minus[k] the conjugated
     negative order (F_{-k})*, z[k] the longitudinal order Z_k; all arrays are
-    (batch, k_max). At order 0, f_minus[0] == conj(f_plus[0]) always.
+    real (batch, k_max), since zero-phase RF keeps every state real. At order
+    0, f_minus[0] == f_plus[0] always.
     """
 
     f_plus: np.ndarray
@@ -106,13 +108,9 @@ class EpgState:
         if k_max < 2:
             raise ValueError("k_max must be >= 2")
         shape = (batch, k_max)
-        z = np.zeros(shape, dtype=np.complex128)
+        z = np.zeros(shape)
         z[:, 0] = 1.0
-        return cls(
-            f_plus=np.zeros(shape, dtype=np.complex128),
-            f_minus=np.zeros(shape, dtype=np.complex128),
-            z=z,
-        )
+        return cls(f_plus=np.zeros(shape), f_minus=np.zeros(shape), z=z)
 
 
 def _apply_rf(state, alpha):
@@ -142,11 +140,15 @@ def _relax(state, dt_ms, t1_ms, t2_ms):
 
 
 def _grad_shift(state):
-    """One unit of gradient dephasing: F_k -> F_{k+1}; orders >= k_max drop."""
+    """One unit of gradient dephasing: F_k -> F_{k+1}; orders >= k_max drop.
+
+    The new F_0 is F_{-1}, i.e. conj(f_minus[1]), which is f_minus[1] itself
+    for real states.
+    """
     fp, fm = state.f_plus, state.f_minus
     new_fp = np.empty_like(fp)
     new_fp[:, 1:] = fp[:, :-1]
-    new_fp[:, 0] = np.conj(fm[:, 1])
+    new_fp[:, 0] = fm[:, 1]
     new_fm = np.empty_like(fm)
     new_fm[:, :-1] = fm[:, 1:]
     new_fm[:, -1] = 0.0
@@ -163,7 +165,7 @@ def simulate_epg_batch(seq, t1_ms, t2_ms, k_max=DEFAULT_K_MAX):
         k_max: number of retained configuration orders.
 
     Returns:
-        (n, L) complex array of transverse signal read at each TE.
+        (n, L) float64 array of transverse signal read at each TE.
     """
     t1 = np.atleast_1d(np.asarray(t1_ms, dtype=float))
     t2 = np.atleast_1d(np.asarray(t2_ms, dtype=float))
@@ -181,7 +183,7 @@ def simulate_epg_batch(seq, t1_ms, t2_ms, k_max=DEFAULT_K_MAX):
 
     te = seq.te_ms
     rem = seq.tr_ms - seq.te_ms
-    signal = np.empty((n, seq.n_frames), dtype=np.complex128)
+    signal = np.empty((n, seq.n_frames))
     for i, alpha in enumerate(seq.flip_angles_rad):
         _apply_rf(state, alpha)
         _relax(state, te, t1, t2)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import Adam, Param, Tape, c2r_channels, r2c_channels
 from .dictionary import compress
-from .epg import simulate_epg_batch
+from .epg import DEFAULT_K_MAX, simulate_epg_batch
 from .errors import TrainingFailure
 from .maps import QMaps
 
@@ -197,11 +197,6 @@ class UnrolledModel:
     def trainable_parameters(self):
         return self.encoder.parameters() + [self.log_alpha]
 
-    def parameter_count(self):
-        """Encoder weights plus one step-size scalar per iteration."""
-        enc = sum(p.value.size for p in self.encoder.parameters())
-        return enc + self.log_alpha.value.size
-
     def make_prox(self):
         """Prox callable for the numpy PGD engine."""
 
@@ -376,14 +371,10 @@ def _sample_offgrid_pairs(rng, n, t1_range, t2_range):
     return t1, t2
 
 
-def compressed_response_targets(seq, sub, t1_ms, t2_ms, k_max=None):
+def compressed_response_targets(seq, sub, t1_ms, t2_ms, k_max=DEFAULT_K_MAX):
     """Oracle targets for the decoder: compressed unit-PD EPG responses."""
-    from .epg import DEFAULT_K_MAX
-
-    fps = simulate_epg_batch(
-        seq, t1_ms, t2_ms, k_max=DEFAULT_K_MAX if k_max is None else k_max
-    )
-    cf = compress(fps.T, sub).T  # (n, s) complex
+    fps = simulate_epg_batch(seq, t1_ms, t2_ms, k_max=k_max)
+    cf = compress(fps.T, sub).T  # (n, s)
     return np.concatenate([cf.real, cf.imag], axis=1)
 
 
@@ -398,12 +389,14 @@ def pretrain_bloch_decoder(
     val_size=500,
     threshold=0.02,
     hidden=64,
+    k_max=DEFAULT_K_MAX,
 ):
     """Fit the decoder MLP to compressed EPG responses.
 
-    Trains on every dictionary atom plus freshly simulated off-grid pairs and
-    validates on a held-out off-grid set; raises TrainingFailure when the mean
-    relative error does not reach `threshold`. The returned decoder is frozen.
+    Trains on every dictionary atom plus off-grid pairs freshly simulated with
+    k_max configuration orders, and validates on a held-out off-grid set;
+    raises TrainingFailure when the mean relative error does not reach
+    `threshold`. The returned decoder is frozen.
     """
     seq = grid.seq
     if seq is None:
@@ -416,14 +409,14 @@ def pretrain_bloch_decoder(
     catoms = raw_atoms @ sub.basis.conj()
     atom_targets = np.concatenate([catoms.real, catoms.imag], axis=1)
     t1_off, t2_off = _sample_offgrid_pairs(rng, n_offgrid, t1r, t2r)
-    off_targets = compressed_response_targets(seq, sub, t1_off, t2_off)
+    off_targets = compressed_response_targets(seq, sub, t1_off, t2_off, k_max)
 
     t1_all = np.concatenate([grid.atom_t1_ms, t1_off])
     t2_all = np.concatenate([grid.atom_t2_ms, t2_off])
     targets = np.concatenate([atom_targets, off_targets], axis=0)
 
     val_t1, val_t2 = _sample_offgrid_pairs(rng, val_size, t1r, t2r)
-    val_targets = compressed_response_targets(seq, sub, val_t1, val_t2)
+    val_targets = compressed_response_targets(seq, sub, val_t1, val_t2, k_max)
 
     decoder = BlochDecoderNet(sub.s, hidden=hidden, seed=seed)
     decoder.output_scale = float(np.sqrt(np.mean(targets**2)) * 2.0)

@@ -23,7 +23,8 @@ a frame-weighted sum of point-spread functions psf_t(r) = sum_j
 exp(2j*pi*k_tj.r/N), embedded 2N-periodically so that toeplitz_normal applies
 the Toeplitz product as one zero-padded circular convolution. The kernel is
 stored frequency-major, one s x s channel-mixing block per frequency of the
-2N grid; it is real whenever the temporal basis is.
+2N grid. The temporal basis must be real (zero-phase EPG makes it so), which
+makes every block real and symmetric; the caller checks this.
 """
 
 import numpy as np
@@ -74,42 +75,34 @@ def _scatter_add(idx, vals, size):
 def toeplitz_normal(kernel, images):
     """Zero-padded circular convolution with a frequency-major block kernel.
 
-    kernel (P, s, s), P = (2N)^2 in fft2 order, is a normal_kernel spectrum;
-    images (B, s, N, N). Returns sum_l crop(ifft(kernel[:, i, l] *
+    kernel (P, s, s), P = (2N)^2 in fft2 order, is a real normal_kernel
+    spectrum; images (B, s, N, N). Returns sum_l crop(ifft(kernel[:, i, l] *
     fft(pad(images[:, l])))) for every output channel i. The mixing is one
-    matmul batched over frequency; a real kernel acts on the interleaved re/im
-    float view of the spectrum, which is exact for a real matrix.
+    matmul batched over frequency, acting on the interleaved re/im float view
+    of the spectrum, which is exact for a real matrix.
     """
     b, s, n, _ = images.shape
     p = 2 * n
     spec = _oversampled_fft2(images, p).reshape(b, s, p * p)
     spec = np.ascontiguousarray(spec.transpose(2, 1, 0))  # (P, s, B)
-    if np.isrealobj(kernel):
-        mixed = np.matmul(kernel, spec.view(np.float64)).view(np.complex128)
-    else:
-        mixed = np.matmul(kernel, spec)
+    mixed = np.matmul(kernel, spec.view(np.float64)).view(np.complex128)
     return _oversampled_fft2_adjoint(mixed.transpose(2, 1, 0).reshape(b, s, p, p), n)
 
 
 def _pair_weights(basis):
-    """Weights conj(B_ti) B_tj (frames, s(s+1)/2) of the channel pairs i <= j,
-    real for a basis without imaginary part, and the pairs' (rows, cols)."""
-    basis = np.asarray(basis)
-    if not np.any(basis.imag):
-        basis = basis.real
+    """Weights B_ti B_tj (frames, s(s+1)/2) of the channel pairs i <= j of a
+    real (frames, s) basis, and the pairs' (rows, cols)."""
     rows, cols = np.triu_indices(basis.shape[1])
-    return basis[:, rows].conj() * basis[:, cols], rows, cols
+    return basis[:, rows] * basis[:, cols], rows, cols
 
 
 def _pair_kernel_blocks(spectra, rows, cols):
-    """(P, pairs) pair spectra -> (P, s, s) blocks, K_ji = conj(K_ij). Assigning
+    """Real (P, pairs) pair spectra -> symmetric (P, s, s) blocks. Assigning
     from a transposed view is the cheapest transpose to frequency-major order."""
     s = rows[-1] + 1
-    blocks = np.empty((spectra.shape[0], s, s), dtype=spectra.dtype)
-    blocks[:, cols, rows] = spectra.conj()
+    blocks = np.empty((spectra.shape[0], s, s))
+    blocks[:, cols, rows] = spectra
     blocks[:, rows, cols] = spectra
-    if np.iscomplexobj(blocks):
-        blocks.imag[:, range(s), range(s)] = 0.0  # rounding residue only
     return blocks
 
 
@@ -187,8 +180,8 @@ class CartesianExactPlan:
         return _fft.ifft2(spec.reshape(f, b, n, n), workers=_FFT_WORKERS) * (n * n)
 
     def normal_kernel(self, basis):
-        """Normal-operator spectrum: (P, s, s) blocks sum_t conj(B_ti) B_tj
-        fft(psf_t) / (2N)^2, frequency-major; real for a real basis.
+        """Normal-operator spectrum of a real (frames, s) basis: real (P, s, s)
+        blocks sum_t B_ti B_tj fft(psf_t) / (2N)^2, frequency-major.
 
         Integer frequencies make psf_t N-periodic, so its spectrum on the 2N
         grid is exactly (2N)^2 times the frame's sample-count histogram on the
@@ -197,7 +190,7 @@ class CartesianExactPlan:
         n = self.matrix
         weights, rows, cols = _pair_weights(basis)
         # the 2N x 2N grid as (N, 2, N, 2): its even bins are [:, 0, :, 0]
-        kernel = np.zeros((n, 2, n, 2, weights.shape[1]), dtype=weights.dtype)
+        kernel = np.zeros((n, 2, n, 2, weights.shape[1]))
         for lo in range(0, self.frames, _FRAME_CHUNK):
             hi = min(lo + _FRAME_CHUNK, self.frames)
             idx = self.flat_index[lo:hi] + (np.arange(hi - lo) * (n * n))[:, None]
@@ -294,16 +287,16 @@ class GriddingPlan:
         return out
 
     def normal_kernel(self, basis):
-        """Normal-operator spectrum: (P, s, s) blocks sum_t conj(B_ti) B_tj
-        fft(psf_t) / (2N)^2, frequency-major; real for a real basis.
+        """Normal-operator spectrum of a real (frames, s) basis: real (P, s, s)
+        blocks sum_t B_ti B_tj fft(psf_t) / (2N)^2, frequency-major.
 
         Each psf_t is the direct NUDFT sum at every offset of the 2N grid,
         evaluated as a (2N x d) @ (d x 2N) product of separable exponentials,
         so the kernel is exact rather than gridded. The offset -N row and
         column stay zero: no pixel pair of the cropped output is N apart, and
-        without them every psf_t is exactly Hermitian, so a real basis gives a
-        real spectrum. Only the s(s+1)/2 pairs i <= j are built; PSFs are
-        folded in one frame chunk at a time.
+        without them every psf_t is exactly Hermitian, so the spectrum is real.
+        Only the s(s+1)/2 pairs i <= j are built; PSFs are folded in one frame
+        chunk at a time, the real weights acting on their float view.
         """
         n, p = self.matrix, 2 * self.matrix
         weights, rows, cols = _pair_weights(basis)
@@ -318,14 +311,9 @@ class GriddingPlan:
                 e[..., :n] = np.exp((2j * np.pi / n) * self.points[lo:hi, :, axis, None] * r)
                 e[..., n + 1 :] = e[..., n - 1 : 0 : -1].conj()
             psf = np.matmul(ey.transpose(0, 2, 1), ex).reshape(hi - lo, -1)  # (frames, ry*rx)
-            if np.isrealobj(weights):  # on the float view: half a complex product
-                kernel += (weights[lo:hi].T @ psf.view(np.float64)).view(np.complex128)
-            else:
-                kernel += weights[lo:hi].T @ psf
+            kernel += (weights[lo:hi].T @ psf.view(np.float64)).view(np.complex128)
         spectra = _fft.fft2(kernel.reshape(-1, p, p), overwrite_x=True, workers=_FFT_WORKERS)
-        if np.isrealobj(weights):
-            spectra = spectra.real
-        return _pair_kernel_blocks(spectra.reshape(-1, p * p).T, rows, cols)
+        return _pair_kernel_blocks(spectra.real.reshape(-1, p * p).T, rows, cols)
 
 
 def make_plan(matrix, points, oversamp=DEFAULT_OVERSAMP, width=DEFAULT_WIDTH):

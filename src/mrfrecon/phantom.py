@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import compress
-from .epg import TissueParams, simulate_epg_batch
+from .epg import DEFAULT_K_MAX, TissueParams, simulate_epg_batch
 from .errors import UndefinedMetric
 from .maps import QMaps
 
@@ -178,15 +178,12 @@ def make_phantom(spec, matrix):
     return Phantom(maps=maps, regions=regions)
 
 
-def phantom_tsmi(phantom, seq, sub, k_max=None):
+def phantom_tsmi(phantom, seq, sub, k_max=DEFAULT_K_MAX):
     """Compressed noiseless TSMI of a phantom: per-voxel PD-scaled responses.
 
     Fingerprints are simulated once per distinct (t1, t2) pair and painted
     onto the voxel grid.
     """
-    from .epg import DEFAULT_K_MAX
-
-    k_max = DEFAULT_K_MAX if k_max is None else k_max
     maps = phantom.maps
     h, w = maps.shape
     x = np.zeros((sub.s, h, w), dtype=np.complex128)
@@ -202,7 +199,7 @@ def phantom_tsmi(phantom, seq, sub, k_max=None):
     return x
 
 
-def simulate_measurements(phantom, seq, sub, op, noise=None, k_max=None):
+def simulate_measurements(phantom, seq, sub, op, noise=None, k_max=DEFAULT_K_MAX):
     """y = H(x) + xi for a phantom: simulate, compress, sample, add noise."""
     x = phantom_tsmi(phantom, seq, sub, k_max=k_max)
     y = op.forward(x)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dictionary import compressed_atoms, _match_arrays
+from .dictionary import _match_arrays, compressed_atoms, dictionary_match
 from .errors import ReconDivergence
 from .maps import QMaps
 
@@ -142,8 +142,6 @@ def backprojection_baseline(y, op, grid=None, sub=None, encoder=None):
     dictionary matching or a single encoder application (no decoder, no
     iterations). Exactly the unrolled model evaluated at T=0.
     """
-    from .dictionary import dictionary_match  # local to avoid cycle at import
-
     if encoder is not None:
         return encoder.predict_maps(op.backproject(y, equalize=False))
     x = op.backproject(y)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy
 
-from mrfrecon.tensorfile import read_json, read_tensor
+from mrfrecon.tensorfile import read_json, read_tensor, write_tensor
 
 TINY_CONFIG = {
     "sequence": {"n_frames": 40},
@@ -78,6 +78,51 @@ def test_build_dict_outputs(pipeline):
     assert atoms.shape == (meta["n_atoms"], 40)
     # atoms reload losslessly and stay unit norm
     assert np.allclose(np.linalg.norm(atoms, axis=1), 1.0)
+
+
+def test_build_dict_writes_float64_atoms_and_subspace(pipeline):
+    root, _ = pipeline
+    for name in ("atoms.mrfb", "subspace.mrfb"):
+        assert (root / "dict" / name).read_bytes()[6] == 2  # MRFB dtype code f64
+
+
+def _dict_with_basis(src, dst, basis_of):
+    """Copy a dictionary directory, storing atoms as complex128 and the
+    subspace as basis_of(real basis)."""
+    shutil.copytree(src, dst)
+    write_tensor(dst / "atoms.mrfb", read_tensor(dst / "atoms.mrfb").astype(np.complex128))
+    write_tensor(dst / "subspace.mrfb", basis_of(read_tensor(dst / "subspace.mrfb")))
+
+
+def _simulate_and_reconstruct(cfg, dict_dir, root):
+    r = run_cli("simulate", "--config", cfg, "--dict", dict_dir, "--out", root / "sim")
+    assert r.returncode == 0, r.stderr
+    return run_cli(
+        "reconstruct", "--config", cfg, "--data", root / "sim", "--dict", dict_dir,
+        "--method", "dm-pgd", "--out", root / "rec",
+    )
+
+
+def test_complex128_dictionary_of_older_versions_still_reconstructs(pipeline, tmp_path):
+    root, cfg = pipeline
+    _dict_with_basis(root / "dict", tmp_path / "dict", lambda b: b.astype(np.complex128))
+    r = _simulate_and_reconstruct(cfg, tmp_path / "dict", tmp_path)
+    assert r.returncode == 0, r.stderr
+    r = _simulate_and_reconstruct(cfg, root / "dict", tmp_path / "f64")
+    assert r.returncode == 0, r.stderr
+    for prop in ("t1", "t2", "pd"):
+        old = read_tensor(tmp_path / "rec" / f"{prop}.mrfb")
+        new = read_tensor(tmp_path / "f64" / "rec" / f"{prop}.mrfb")
+        np.testing.assert_allclose(old, new, rtol=1e-12, atol=0.0)
+
+
+def test_dm_pgd_with_complex_subspace_is_a_one_line_runtime_error(pipeline, tmp_path):
+    root, cfg = pipeline
+    _dict_with_basis(root / "dict", tmp_path / "dict", lambda b: b * np.exp(0.1j))
+    r = _simulate_and_reconstruct(cfg, tmp_path / "dict", tmp_path)
+    assert r.returncode == 1
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1 and "real temporal basis" in lines[0], r.stderr
 
 
 def test_build_dict_s_override(tmp_path):

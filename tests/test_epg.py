@@ -100,12 +100,16 @@ def test_grid_agreement_with_oracle_small():
         assert nrmse_vec(epg, oracle) < 0.01
 
 
-def test_order_zero_conjugate_invariant(short_seq):
-    # f_minus[0] == conj(f_plus[0]) is preserved by construction; probe it
-    # through a batch run by checking the readout is consistent with a
-    # real-valued recursion under the zero-phase convention.
-    sig = simulate_epg(short_seq, WM)
-    assert np.allclose(sig.imag, 0.0)
+def test_zero_phase_response_is_real(short_seq):
+    # zero-phase RF keeps the EPG recursion real, so it returns float64; the
+    # independent complex isochromat oracle shows the same physics: for the
+    # same sequence its imaginary part is rounding noise
+    t1 = np.array([300.0, 784.0, 2000.0])
+    t2 = np.array([30.0, 77.0, 300.0])
+    assert simulate_epg_batch(short_seq, t1, t2).dtype == np.float64
+    for a, b in zip(t1, t2):
+        oracle = simulate_isochromat_oracle(short_seq, TissueParams(a, b), n_spins=1000)
+        assert np.abs(oracle.imag).max() <= 1e-12 * np.abs(oracle).max()
 
 
 def test_equilibrium_state_and_kmax_validation():

@@ -1,7 +1,10 @@
+import inspect
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from mrfrecon import neuralprox
 from mrfrecon.acquisition import AcquisitionOperator, make_trajectory, simulate_coil_maps
 from mrfrecon.autodiff import Tape, c2r_channels
 from mrfrecon.dictionary import build_dictionary, compute_subspace
@@ -110,11 +113,13 @@ def test_prox_output_bounds_and_mask():
 
 
 def test_parameter_count_independent_of_iterations():
+    # one shared encoder: only the per-iteration step sizes grow with T
+    def count(m):
+        return sum(p.value.size for p in m.trainable_parameters())
+
     m2 = UnrolledModel.create(s=2, iterations=2, width=4, seed=0, hidden=8)
     m7 = UnrolledModel.create(s=2, iterations=7, width=4, seed=0, hidden=8)
-    enc2 = m2.parameter_count() - 2
-    enc7 = m7.parameter_count() - 7
-    assert enc2 == enc7
+    assert count(m2) - 2 == count(m7) - 7
 
 
 def test_unrolled_inference_equals_pgd_engine():
@@ -298,6 +303,24 @@ def test_decoder_pretraining_small_dictionary(short_seq):
     t1p, t2p = np.array([1000.0]), np.array([100.0])
     target = compressed_response_targets(short_seq, sub, t1p, t2p)
     assert decoder_validation_error(dec, t1p, t2p, target) < 0.02
+
+
+def test_decoder_pretraining_simulates_at_the_given_k_max(small_dict, monkeypatch):
+    grid, sub = small_dict
+    real = neuralprox.simulate_epg_batch
+    seen = []
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.append(bound.arguments["k_max"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(neuralprox, "simulate_epg_batch", spy)
+    pretrain_bloch_decoder(
+        grid, sub, epochs=1, seed=0, n_offgrid=20, val_size=10, threshold=np.inf, k_max=17
+    )
+    assert seen == [17, 17]  # off-grid training and validation targets
 
 
 def test_decoder_pretraining_failure_raises(short_seq):
