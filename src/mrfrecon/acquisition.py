@@ -8,8 +8,9 @@ the standalone back-projection path, never inside gradient iterations.
 
 The normal operator H^H H has its own Toeplitz form (Fessler et al., IEEE TSP
 2005), with the real subspace folded into s x s point-spread-function kernels
-(Tamir et al., MRM 2017): one zero-padded FFT pass over s*C images per
-application instead of per-frame NUFFTs both ways.
+(Tamir et al., MRM 2017): one FFT pass over s*C images per application
+instead of per-frame NUFFTs both ways, zero-padded to 2N for off-grid
+trajectories and on the N grid itself for integer ones.
 """
 
 from dataclasses import dataclass, replace
@@ -23,6 +24,12 @@ from .dictionary import Subspace
 GOLDEN_ANGLE_RAD = np.pi * (np.sqrt(5.0) - 1.0) / 2.0
 
 TRAJECTORY_KINDS = ("golden_radial", "cartesian_full", "cartesian_lines")
+
+# Lanczos stops once its top Ritz value moves by less than LANCZOS_RTOL,
+# relative, or once the new residual is too small, relative to it, to span a
+# new direction (breakdown)
+LANCZOS_RTOL = 1e-4
+LANCZOS_BREAKDOWN = 1e-10
 
 
 @dataclass(frozen=True)
@@ -248,7 +255,8 @@ class AcquisitionOperator:
 
         K_ij = sum_t B_ti B_tj psf_t is built on first use and cached,
         frequency-major: one real s x s block per frequency of the 2N grid,
-        (2N)^2 s^2 values. Zero-phase RF makes the SVD basis real; a complex
+        (2N)^2 s^2 values, or of the N grid, N^2 s^2 values, for integer
+        trajectories. Zero-phase RF makes the SVD basis real; a complex
         one with zero imaginary part is used as its real part, any other
         raises ValueError. For gridded trajectories the result differs from
         adjoint(forward(x)) by the gridding error only.
@@ -304,24 +312,35 @@ class AcquisitionOperator:
         return np.tensordot(self._bp_channel_mixing(), u, axes=(1, 0))
 
     def estimate_operator_norm(self, iters=30, seed=0):
-        """Largest eigenvalue of H^H H by power iteration from a fixed seed.
+        """Largest eigenvalue of H^H H by Lanczos iteration from a fixed seed.
 
-        Iterates normal(), so this is the lambda of the exact-NUDFT H^H H; on
-        gridded trajectories it agrees with that of adjoint(forward(.)) to
-        gridding accuracy (about 1e-3 relative). Like normal(), it needs a
-        real basis.
+        Runs complex Hermitian Lanczos on normal() and returns the top Ritz
+        value of the real tridiagonal matrix it builds, which does not exceed
+        the true lambda beyond rounding. It stops once that value changes by
+        less than LANCZOS_RTOL relative, or on breakdown (an invariant
+        subspace, e.g. H^H H = c I), and calls normal() at most `iters` times.
+        This is the lambda of the exact-NUDFT H^H H; on gridded trajectories
+        it agrees with that of adjoint(forward(.)) to gridding accuracy (about
+        1e-3 relative). Like normal(), it needs a real basis.
         """
         if iters < 1:
             raise ValueError("iters must be >= 1")
         rng = np.random.default_rng(seed)
         shape = (self.s, self.matrix, self.matrix)
         v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        v /= np.linalg.norm(v)
+        v_prev, beta = np.zeros_like(v), 0.0
+        alphas, betas = [], []
         lam = 0.0
         for _ in range(iters):
-            w = self.normal(v)
-            norm_w = np.linalg.norm(w)
-            if norm_w == 0.0:
-                return 0.0
-            lam = norm_w / np.linalg.norm(v)
-            v = w / norm_w
+            w = self.normal(v) - beta * v_prev
+            alphas.append(np.vdot(v, w).real)
+            w -= alphas[-1] * v
+            t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            prev, lam = lam, np.linalg.eigvalsh(t)[-1]
+            beta = np.linalg.norm(w)
+            if beta <= LANCZOS_BREAKDOWN * lam or abs(lam - prev) <= LANCZOS_RTOL * lam:
+                break
+            betas.append(beta)
+            v_prev, v = v, w / beta
         return float(lam)

@@ -215,6 +215,27 @@ def build_operator(cfg, matrix, sub):
     return AcquisitionOperator(coil_maps, traj, sub), traj
 
 
+def pgd_config(cfg):
+    """The PGD settings of the recon block, checked before any work is done.
+
+    recon.power_iters caps the normal-operator applications of the 1/lambda
+    step estimate (Lanczos, which usually stops well before the cap).
+    """
+    rc = cfg["recon"]
+    for key in ("iterations", "power_iters"):
+        if int(rc[key]) < 1:
+            raise ConfigError(f"recon.{key} must be >= 1")
+    try:
+        return PgdConfig(
+            iterations=int(rc["iterations"]),
+            step_sizes=rc["step_size"],
+            record_trace=bool(rc["record_trace"]),
+            power_iters=int(rc["power_iters"]),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"recon.step_size: {exc}") from None
+
+
 def build_phantom_from_config(cfg, grid=None):
     pc = cfg["phantom"]
     matrix = int(pc["matrix"])
@@ -252,7 +273,9 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def write_manifest(outdir, command, config, args, inputs, t0):
+def write_manifest(outdir, command, config, args, inputs, t0, **results):
+    """manifest.json of a command; `results` are further top-level keys that
+    record what the run decided, such as the step sizes PGD took."""
     outdir = Path(outdir)
     outputs = {}
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -265,6 +288,7 @@ def write_manifest(outdir, command, config, args, inputs, t0):
         "args": args,
         "inputs": inputs,
         "outputs": outputs,
+        **results,
         "versions": {
             "mrfrecon": __version__,
             "numpy": np.__version__,
@@ -506,6 +530,7 @@ def cmd_reconstruct(args):
     method = args.method
     if method not in RECON_METHODS:
         raise ConfigError(f"recon method must be one of {RECON_METHODS}")
+    pcfg = pgd_config(cfg) if method == "dm-pgd" else None
     y, coil_maps, traj, sim_manifest = _load_sim(args.data)
     grid, sub = load_dictionary(args.dict)
 
@@ -526,10 +551,10 @@ def cmd_reconstruct(args):
             raise ConfigError(f"method {method} requires --model")
         model, _ = load_model(args.model)
 
-    rc = cfg["recon"]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
+    results = {}
     if method == "bp-dm":
         maps = backprojection_baseline(y, op, grid=grid, sub=sub)
     elif method == "bp-neural":
@@ -537,22 +562,17 @@ def cmd_reconstruct(args):
     else:
         if method == "dm-pgd":
             prox = make_dictionary_prox(grid, sub)
-            pcfg = PgdConfig(
-                iterations=int(rc["iterations"]),
-                step_sizes=rc["step_size"],
-                record_trace=bool(rc["record_trace"]),
-                power_iters=int(rc["power_iters"]),
-            )
         else:  # neural-unrolled
             prox = model.make_prox()
             pcfg = PgdConfig(
                 iterations=model.iterations,
                 step_sizes=model.step_sizes,
-                record_trace=bool(rc["record_trace"]),
+                record_trace=bool(cfg["recon"]["record_trace"]),
                 init_equalize=False,
             )
         maps, _, trace = pgd_reconstruct(y, op, prox, pcfg)
         write_trace_csv(outdir / "trace.csv", trace)
+        results["step_sizes"] = trace.step_sizes
 
     save_maps(outdir, maps)
     inputs = _dict_inputs(args.dict)
@@ -575,6 +595,7 @@ def cmd_reconstruct(args):
         },
         inputs,
         t0,
+        **results,
     )
     print(f"reconstructed {method} -> {outdir}")
     return 0
@@ -586,6 +607,7 @@ def cmd_train(args):
     tc = cfg["train"]
     if int(tc["batch_size"]) != 1:
         raise ConfigError("train.batch_size must be 1; minibatching is not implemented")
+    pcfg = pgd_config(cfg)
     grid, sub = load_dictionary(args.dict)
     matrix = int(cfg["phantom"]["matrix"])
     op, _ = build_operator(cfg, matrix, sub)
@@ -636,10 +658,9 @@ def cmd_train(args):
     )
     print(f"decoder loss: {dec_history[-1]:.3e}")
 
-    iterations = int(cfg["recon"]["iterations"])
     model = UnrolledModel.create(
         s=sub.s,
-        iterations=iterations,
+        iterations=pcfg.iterations,
         width=int(tc["width"]),
         seed=train_cfg.seed,
         attention=bool(tc["attention"]),
@@ -667,7 +688,7 @@ def cmd_train(args):
         loss_history=enc_history,
     )
 
-    lam_max = op.estimate_operator_norm(iters=int(cfg["recon"]["power_iters"]))
+    lam_max = op.estimate_operator_norm(iters=pcfg.power_iters)
     model.log_alpha.value[:] = np.log(1.0 / lam_max)
     print("unrolled training ...")
     _, history = train_unrolled(dataset, op, model, train_cfg)

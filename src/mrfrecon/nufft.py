@@ -20,12 +20,16 @@ frequencies alias exactly, so this path is both faster and error-free.
 
 Both plans also build the kernel of the exact (non-gridded) normal operator:
 a frame-weighted sum of point-spread functions psf_t(r) = sum_j
-exp(2j*pi*k_tj.r/N), embedded 2N-periodically so that toeplitz_normal applies
-the Toeplitz product as one zero-padded circular convolution. The kernel is
-stored frequency-major, one s x s channel-mixing block per frequency of the
-2N grid. The temporal basis must be real (zero-phase EPG makes it so), which
+exp(2j*pi*k_tj.r/N), so that toeplitz_normal applies the Toeplitz product as
+one circular convolution. Off-grid trajectories embed it 2N-periodically and
+convolve on a zero-padded 2N grid; integer trajectories make it N-periodic,
+so their kernel lives on the N grid itself and needs no padding. The kernel
+is stored frequency-major, one s x s channel-mixing block per frequency of
+its grid. The temporal basis must be real (zero-phase EPG makes it so), which
 makes every block real and symmetric; the caller checks this.
 """
+
+import math
 
 import numpy as np
 import scipy.fft as _fft
@@ -73,16 +77,18 @@ def _scatter_add(idx, vals, size):
 
 
 def toeplitz_normal(kernel, images):
-    """Zero-padded circular convolution with a frequency-major block kernel.
+    """Circular convolution with a frequency-major block kernel.
 
-    kernel (P, s, s), P = (2N)^2 in fft2 order, is a real normal_kernel
-    spectrum; images (B, s, N, N). Returns sum_l crop(ifft(kernel[:, i, l] *
-    fft(pad(images[:, l])))) for every output channel i. The mixing is one
-    matmul batched over frequency, acting on the interleaved re/im float view
-    of the spectrum, which is exact for a real matrix.
+    kernel (P, s, s) is a real normal_kernel spectrum in fft2 order on a
+    p x p grid, P = p^2: p = 2N zero-pads the images (off-grid trajectories),
+    p = N convolves them as they are (integer trajectories). images (B, s, N,
+    N). Returns sum_l crop(ifft(kernel[:, i, l] * fft(pad(images[:, l])))) for
+    every output channel i. The mixing is one matmul batched over frequency,
+    acting on the interleaved re/im float view of the spectrum, which is
+    exact for a real matrix.
     """
     b, s, n, _ = images.shape
-    p = 2 * n
+    p = math.isqrt(kernel.shape[0])
     spec = _oversampled_fft2(images, p).reshape(b, s, p * p)
     spec = np.ascontiguousarray(spec.transpose(2, 1, 0))  # (P, s, B)
     mixed = np.matmul(kernel, spec.view(np.float64)).view(np.complex128)
@@ -180,25 +186,22 @@ class CartesianExactPlan:
         return _fft.ifft2(spec.reshape(f, b, n, n), workers=_FFT_WORKERS) * (n * n)
 
     def normal_kernel(self, basis):
-        """Normal-operator spectrum of a real (frames, s) basis: real (P, s, s)
-        blocks sum_t B_ti B_tj fft(psf_t) / (2N)^2, frequency-major.
+        """Normal-operator spectrum of a real (frames, s) basis on the N grid:
+        real (N^2, s, s) blocks sum_t B_ti B_tj h_t, frequency-major.
 
-        Integer frequencies make psf_t N-periodic, so its spectrum on the 2N
-        grid is exactly (2N)^2 times the frame's sample-count histogram on the
-        even bins and zero on the odd ones: no transform is needed.
+        Integer frequencies make psf_t N-periodic, so H^H H is a circular
+        convolution on the N grid itself, and the spectrum of psf_t there is
+        the frame's sample-count histogram h_t: no transform and no padding.
         """
         n = self.matrix
         weights, rows, cols = _pair_weights(basis)
-        # the 2N x 2N grid as (N, 2, N, 2): its even bins are [:, 0, :, 0]
-        kernel = np.zeros((n, 2, n, 2, weights.shape[1]))
+        kernel = np.zeros((n * n, weights.shape[1]))
         for lo in range(0, self.frames, _FRAME_CHUNK):
             hi = min(lo + _FRAME_CHUNK, self.frames)
             idx = self.flat_index[lo:hi] + (np.arange(hi - lo) * (n * n))[:, None]
             counts = np.bincount(idx.ravel(), minlength=(hi - lo) * n * n)
-            kernel[:, 0, :, 0] += (
-                counts.reshape(hi - lo, -1).T @ weights[lo:hi]
-            ).reshape(n, n, -1)
-        return _pair_kernel_blocks(kernel.reshape(4 * n * n, -1), rows, cols)
+            kernel += counts.reshape(hi - lo, -1).T @ weights[lo:hi]
+        return _pair_kernel_blocks(kernel, rows, cols)
 
 
 class GriddingPlan:
@@ -287,8 +290,9 @@ class GriddingPlan:
         return out
 
     def normal_kernel(self, basis):
-        """Normal-operator spectrum of a real (frames, s) basis: real (P, s, s)
-        blocks sum_t B_ti B_tj fft(psf_t) / (2N)^2, frequency-major.
+        """Normal-operator spectrum of a real (frames, s) basis on the 2N grid:
+        real ((2N)^2, s, s) blocks sum_t B_ti B_tj fft(psf_t) / (2N)^2,
+        frequency-major.
 
         Each psf_t is the direct NUDFT sum at every offset of the 2N grid,
         evaluated as a (2N x d) @ (d x 2N) product of separable exponentials,

@@ -22,7 +22,8 @@ class PgdConfig:
     """Settings of one PGD run: iteration count, step sizes, trace and init.
 
     step_sizes may be a scalar (replicated) or a length-T positive vector;
-    None means 1/lambda_max estimated by power iteration.
+    None means 1/lambda_max, estimated by Lanczos iteration on the normal
+    operator with at most power_iters applications of it.
     """
 
     iterations: int = 5
@@ -31,34 +32,36 @@ class PgdConfig:
     power_iters: int = 30
     init_equalize: bool = True
 
-    def resolved_steps(self, op):
+    def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.step_sizes is None:
-            lam = op.estimate_operator_norm(iters=self.power_iters)
-            if lam <= 0.0:
-                raise ValueError("operator norm estimate is zero; cannot pick a step")
-            alpha = np.full(self.iterations, 1.0 / lam)
-        else:
-            alpha = np.broadcast_to(
-                np.atleast_1d(np.asarray(self.step_sizes, dtype=float)),
-                (self.iterations,),
-            ).copy()
-        if np.any(alpha <= 0.0):
-            raise ValueError("all step sizes must be positive")
-        return alpha
+        if self.step_sizes is not None:
+            steps = np.atleast_1d(np.asarray(self.step_sizes, dtype=float))
+            if steps.ndim != 1 or steps.size not in (1, self.iterations) or not np.all(steps > 0):
+                raise ValueError("step sizes must be positive: one, or one per iteration")
+            self.step_sizes = np.broadcast_to(steps, (self.iterations,)).copy()
+
+    def resolved_steps(self, op):
+        if self.step_sizes is not None:
+            return self.step_sizes
+        lam = op.estimate_operator_norm(iters=self.power_iters)
+        if lam <= 0.0:
+            raise ValueError("operator norm estimate is zero; cannot pick a step")
+        return np.full(self.iterations, 1.0 / lam)
 
 
 @dataclass
 class ReconTrace:
-    """Per-iteration data fidelity ||y - Hx||^2, initialization included.
+    """Per-iteration data fidelity ||y - Hx||^2, initialization included,
+    and the step size each iteration took.
 
-    Taken as ||y||^2 + Re<x, Nx - 2 H^H y>: exact for integer trajectories,
-    within gridding accuracy (about 1e-3 relative) otherwise.
+    Fidelity is taken as ||y||^2 + Re<x, Nx - 2 H^H y>: exact for integer
+    trajectories, within gridding accuracy (about 1e-3 relative) otherwise.
     """
 
     fidelity: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
+    step_sizes: list = field(default_factory=list)
 
     def to_rows(self):
         return [(i, f) for i, f in enumerate(self.fidelity)]
@@ -110,7 +113,7 @@ def pgd_reconstruct(y, op, prox, cfg):
     alpha = cfg.resolved_steps(op)
     x = op.backproject(y, equalize=cfg.init_equalize)
     maps = None
-    trace = ReconTrace()
+    trace = ReconTrace(step_sizes=alpha.tolist())
 
     # k-space is touched once; each Nx gives both the fidelity and the step
     b = op.adjoint(y)

@@ -174,10 +174,11 @@ def test_operator_norm_against_materialized_matrix():
     npt.assert_allclose(exact, n * n, rtol=1e-10)
 
 
-def test_operator_norm_self_consistency():
-    # 30 iterations reach 1e-3 only where the top two eigenvalues are well
-    # apart; seed 4's real basis is not such a draw (30 vs 60: 2.9e-3)
-    op = make_random_operator(6, n=32, coils=2, s=3, frames=16, basis="real")
+@pytest.mark.parametrize("seed", [4, 5, 6, 7])
+def test_operator_norm_self_consistency(seed):
+    # seed 4's real basis has a close second eigenvalue, the hard case for
+    # an iterative estimate
+    op = make_random_operator(seed, n=32, coils=2, s=3, frames=16, basis="real")
     a = op.estimate_operator_norm(iters=30)
     b = op.estimate_operator_norm(iters=60)
     assert abs(a - b) / b < 1e-3
@@ -188,6 +189,43 @@ def test_zero_operator_norm():
     traj = make_trajectory("golden_radial", n, d=n, frames=4)
     op = AcquisitionOperator(np.zeros((1, n, n), complex), traj, np.ones((4, 1), complex))
     assert op.estimate_operator_norm(iters=5) == 0.0
+
+
+def _materialized_normal(op):
+    size = op.s * op.matrix**2
+    m = np.empty((size, size), dtype=complex)
+    for i in range(size):
+        e = np.zeros(size, complex)
+        e[i] = 1.0
+        m[:, i] = op.normal(e.reshape(op.s, op.matrix, op.matrix)).ravel()
+    return m
+
+
+@pytest.mark.parametrize("kind", ["golden_radial", "cartesian_lines"])
+def test_operator_norm_matches_dense_eigvalsh(kind):
+    op = make_random_operator(16, n=16, coils=2, s=3, frames=12, kind=kind, basis="real")
+    exact = np.linalg.eigvalsh(_materialized_normal(op)).max()
+    lam = op.estimate_operator_norm()
+    # a Ritz value never exceeds the largest eigenvalue, up to rounding
+    assert lam <= exact * (1 + 1e-12)
+    assert (exact - lam) / exact < 1e-4
+
+
+def test_operator_norm_caps_and_stops_early(monkeypatch):
+    op = make_random_operator(17, n=16, coils=2, s=3, frames=12, basis="real")
+    calls = []
+    normal = AcquisitionOperator.normal
+
+    def spy(self, x):
+        calls.append(1)
+        return normal(self, x)
+
+    monkeypatch.setattr(AcquisitionOperator, "normal", spy)
+    op.estimate_operator_norm(iters=3)
+    assert len(calls) == 3
+    calls.clear()
+    op.estimate_operator_norm(iters=30)
+    assert 3 < len(calls) < 30
 
 
 def test_operator_norm_iters_validation():
@@ -285,12 +323,14 @@ def test_normal_matches_exact_cartesian_path(kind, basis):
 
 
 @pytest.mark.parametrize("basis", BASES)
-@pytest.mark.parametrize("kind", ["golden_radial", "cartesian_lines"])
+@pytest.mark.parametrize("kind", ["golden_radial", "cartesian_lines", "cartesian_full"])
 def test_normal_kernel_blocks(kind, basis):
-    """Frequency-major (P, s, s) blocks, real and symmetric."""
+    """Frequency-major (P, s, s) blocks, real and symmetric: P = N^2 for
+    integer trajectories, whose normal operator is N-periodic, (2N)^2 else."""
     op = make_random_operator(12, n=8, coils=1, s=3, frames=10, kind=kind, basis=basis)
     kernel = op.plan.normal_kernel(op.basis.real)
-    assert kernel.shape == (16 * 16, 3, 3)
+    grid = 16 if kind == "golden_radial" else 8
+    assert kernel.shape == (grid * grid, 3, 3)
     assert kernel.dtype == np.float64
     npt.assert_array_equal(kernel, kernel.transpose(0, 2, 1))
 

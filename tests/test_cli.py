@@ -222,6 +222,30 @@ def test_bp_dm_method(pipeline, tmp_path):
     assert r.returncode == 0, r.stderr
     assert (tmp_path / "bp" / "t1.mrfb").exists()
     assert not (tmp_path / "bp" / "trace.csv").exists()
+    assert "step_sizes" not in read_json(tmp_path / "bp" / "manifest.json")
+
+
+def test_dm_pgd_manifest_records_the_step_it_took(pipeline, tmp_path):
+    """The manifest's step sizes, given back as recon.step_size, redo the run."""
+    root, cfg = pipeline
+
+    def dm_pgd(config, out):
+        r = run_cli(
+            "reconstruct", "--config", config, "--data", root / "sim",
+            "--dict", root / "dict", "--method", "dm-pgd", "--out", out,
+        )
+        assert r.returncode == 0, r.stderr
+        return read_json(out / "manifest.json")["step_sizes"]
+
+    steps = dm_pgd(cfg, tmp_path / "estimated")
+    assert len(steps) == TINY_CONFIG["recon"]["iterations"]
+    assert steps[0] > 0 and steps == [steps[0]] * len(steps)
+    given = write_config(tmp_path, {"recon.step_size": steps}, name="given.json")
+    assert dm_pgd(given, tmp_path / "given") == steps
+    for name in ("t1.mrfb", "t2.mrfb", "pd.mrfb", "trace.csv"):
+        assert (tmp_path / "estimated" / name).read_bytes() == (
+            tmp_path / "given" / name
+        ).read_bytes(), name
 
 
 def test_subspace_hash_mismatch_rejected(pipeline, tmp_path):
@@ -462,6 +486,38 @@ def test_train_and_neural_reconstruct(tmp_path):
         assert r.returncode == 0, r.stderr
         t1 = read_tensor(tmp_path / f"rec_{method}" / "t1.mrfb")
         assert t1.shape == (16, 16) and np.all(np.isfinite(t1))
+
+
+BAD_RECON_SETTINGS = [
+    ("recon.iterations", 0),
+    ("recon.power_iters", 0),
+    ("recon.step_size", 0.0),
+    ("recon.step_size", [0.1, -0.1]),
+    ("recon.step_size", [0.1, 0.1, 0.1]),  # recon.iterations is 2
+]
+
+
+@pytest.mark.parametrize("key,value", BAD_RECON_SETTINGS)
+def test_dm_pgd_setting_it_cannot_honour_is_a_config_error(pipeline, tmp_path, key, value):
+    root, _ = pipeline
+    cfg = write_config(tmp_path, {key: value})
+    r = run_cli(
+        "reconstruct", "--config", cfg, "--data", root / "sim",
+        "--dict", root / "dict", "--method", "dm-pgd", "--out", tmp_path / "rec",
+    )
+    assert r.returncode == 2, r.stderr
+    assert key in r.stderr
+    assert not (tmp_path / "rec").exists()
+
+
+@pytest.mark.parametrize("key,value", BAD_RECON_SETTINGS[:3])
+def test_train_recon_setting_it_cannot_honour_is_a_config_error(pipeline, tmp_path, key, value):
+    root, _ = pipeline
+    cfg = write_config(tmp_path, {key: value})
+    r = run_cli("train", "--config", cfg, "--dict", root / "dict", "--out", tmp_path / "ckpt")
+    assert r.returncode == 2, r.stderr
+    assert key in r.stderr
+    assert not (tmp_path / "ckpt").exists()
 
 
 def test_train_batch_size_other_than_one_rejected(pipeline, tmp_path):

@@ -94,8 +94,12 @@ def test_trace_contract(ls_problem):
         cfg = PgdConfig(iterations=t, step_sizes=1e-6, record_trace=True)
         _, _, trace = pgd_reconstruct(y, op, identity_prox, cfg)
         assert len(trace.fidelity) == t + 1
+        assert trace.step_sizes == [1e-6] * t
         rows = trace.to_rows()
         assert rows[0][0] == 0 and rows[-1][0] == t
+    # no step given: every iteration takes 1/lambda of the estimator
+    _, _, trace = pgd_reconstruct(y, op, identity_prox, PgdConfig(iterations=2))
+    assert trace.step_sizes == [1.0 / op.estimate_operator_norm()] * 2
 
 
 def test_divergence_guard(ls_problem):
