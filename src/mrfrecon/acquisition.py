@@ -1,10 +1,12 @@
 """The multi-coil, subspace-compressed non-uniform Fourier forward operator.
 
-Composes, per timeframe: expansion of the s-channel TSMI through one row of
-the temporal subspace basis, multiplication by each coil sensitivity map, and
-non-uniform Fourier sampling along that frame's trajectory. The adjoint is the
-exact conjugate transpose of this chain. Density compensation exists only in
-the standalone back-projection path, never inside gradient iterations.
+Frame t of coil c samples the spectrum of S_c sum_i B_ti x_i along its
+trajectory. The basis row B_t commutes with the coil product and the FFT, so
+the s*C images S_c x_i take one FFT pass and B_t mixes their spectra just
+before frame t's gather: s*C FFTs whatever the frame count, and no (frames,
+C, N, N) array. The adjoint is the exact conjugate transpose of this chain.
+Density compensation exists only in the standalone back-projection path,
+never inside gradient iterations.
 
 The normal operator H^H H has its own Toeplitz form (Fessler et al., IEEE TSP
 2005), with the real subspace folded into s x s point-spread-function kernels
@@ -239,16 +241,13 @@ class AcquisitionOperator:
     def forward(self, x):
         """TSMI (s, N, N) -> k-space (frames, C, d)."""
         x = self._check_image(x)
-        frame_imgs = np.tensordot(self.basis, x, axes=(1, 0))  # (F, N, N)
-        coil_imgs = frame_imgs[:, None, :, :] * self.coil_maps[None]
-        return self.plan.forward(coil_imgs)
+        return self.plan.forward(x[:, None] * self.coil_maps[None], self.basis)
 
     def adjoint(self, y):
         """Exact conjugate transpose: k-space (frames, C, d) -> TSMI (s, N, N)."""
         y = self._check_kspace(y)
-        coil_imgs = self.plan.adjoint(y)
-        frame_imgs = np.sum(coil_imgs * self.coil_maps.conj()[None], axis=1)
-        return np.tensordot(self.basis.conj(), frame_imgs, axes=(0, 0))
+        coil_imgs = self.plan.adjoint(y, self.basis)  # (s, C, N, N)
+        return np.sum(coil_imgs * self.coil_maps.conj()[None], axis=1)
 
     def normal(self, x):
         """H^H H x = sum_c S_c^H [K * (S_c x)] with the exact NUDFT kernel.

@@ -550,6 +550,11 @@ def cmd_reconstruct(args):
         if args.model is None:
             raise ConfigError(f"method {method} requires --model")
         model, _ = load_model(args.model)
+        rc = cfg["recon"]  # neural-unrolled runs the checkpoint's iterations and steps
+        if method == "neural-unrolled" and rc["step_size"] is not None:
+            raise ConfigError("recon.step_size cannot be set for neural-unrolled: it uses the learned steps")
+        if method == "neural-unrolled" and int(rc["iterations"]) != model.iterations:
+            raise ConfigError(f"recon.iterations must equal the checkpoint's {model.iterations}")
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -608,6 +613,8 @@ def cmd_train(args):
     if int(tc["batch_size"]) != 1:
         raise ConfigError("train.batch_size must be 1; minibatching is not implemented")
     pcfg = pgd_config(cfg)
+    if pcfg.step_sizes is not None:
+        raise ConfigError("recon.step_size cannot be set for train: unrolled steps start at 1/lambda")
     grid, sub = load_dictionary(args.dict)
     matrix = int(cfg["phantom"]["matrix"])
     op, _ = build_operator(cfg, matrix, sub)

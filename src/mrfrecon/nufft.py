@@ -15,8 +15,13 @@ a per-tap phase, so no fftshift passes are needed: the image sits in the
 corner of the oversampled grid and plain fft2/ifft2 do the rest.
 
 Trajectories whose coordinates are all integers (full or line Cartesian) are
-evaluated exactly through a plain FFT instead of gridding; integer
+evaluated exactly as gridding with a single tap on the N grid itself: integer
 frequencies alias exactly, so this path is both faster and error-free.
+
+Both plans transform K channel images, not frames: one FFT pass covers them,
+and a (frames x K) mixing matrix forms each chunk of frame spectra just before
+the gather (the adjoint scatters, folds back through the conjugate mixing, and
+makes one inverse pass). The identity mixing is the per-frame transform.
 
 Both plans also build the kernel of the exact (non-gridded) normal operator:
 a frame-weighted sum of point-spread functions psf_t(r) = sum_j
@@ -37,7 +42,7 @@ import scipy.fft as _fft
 DEFAULT_OVERSAMP = 2.0
 DEFAULT_WIDTH = 4
 
-_FRAME_CHUNK = 64  # cap on frames processed per FFT batch, for memory
+_FRAME_CHUNK = 64  # cap on frames per gather/scatter batch, for memory
 
 _FFT_WORKERS = 1
 
@@ -74,6 +79,14 @@ def _scatter_add(idx, vals, size):
         minlength=2 * size,
     )
     return pairs.view(np.complex128)
+
+
+def _mix(m, spec):
+    """m @ spec for complex (K, M) spectra. A matrix with no imaginary part
+    acts on their interleaved re/im float view, which is exact."""
+    if np.any(m.imag):
+        return m @ spec
+    return (m.real @ spec.view(np.float64)).view(np.complex128)
 
 
 def toeplitz_normal(kernel, images):
@@ -152,58 +165,6 @@ def is_integer_trajectory(points, matrix):
     )
 
 
-class CartesianExactPlan:
-    """Exact FFT sampler for integer-frequency trajectories.
-
-    Gathers from the unshifted FFT at index (k mod N); the (-1)^(kx+ky) sign
-    accounts for the centered-image convention exactly.
-    """
-
-    def __init__(self, matrix, points):
-        n = matrix
-        pts = np.round(np.asarray(points)).astype(np.int64)
-        ix = np.mod(pts[..., 0], n)
-        iy = np.mod(pts[..., 1], n)
-        self.matrix = n
-        self.flat_index = iy * n + ix  # (frames, d)
-        self.sign = np.where((pts[..., 0] + pts[..., 1]) % 2 == 0, 1.0, -1.0)
-        self.frames, self.d = self.flat_index.shape
-
-    def forward(self, images):
-        """images (F, B, N, N) -> samples (F, B, d)."""
-        f, b = images.shape[:2]
-        spec = _fft.fft2(images, workers=_FFT_WORKERS).reshape(f, b, -1)
-        idx = np.broadcast_to(self.flat_index[:, None, :], (f, b, self.d))
-        return np.take_along_axis(spec, idx, axis=2) * self.sign[:, None, :]
-
-    def adjoint(self, samples):
-        """samples (F, B, d) -> images (F, B, N, N)."""
-        f, b = samples.shape[:2]
-        n = self.matrix
-        offs = (np.arange(f * b) * (n * n)).reshape(f, b, 1)
-        vals = samples * self.sign[:, None, :]
-        spec = _scatter_add(self.flat_index[:, None, :] + offs, vals, f * b * n * n)
-        return _fft.ifft2(spec.reshape(f, b, n, n), workers=_FFT_WORKERS) * (n * n)
-
-    def normal_kernel(self, basis):
-        """Normal-operator spectrum of a real (frames, s) basis on the N grid:
-        real (N^2, s, s) blocks sum_t B_ti B_tj h_t, frequency-major.
-
-        Integer frequencies make psf_t N-periodic, so H^H H is a circular
-        convolution on the N grid itself, and the spectrum of psf_t there is
-        the frame's sample-count histogram h_t: no transform and no padding.
-        """
-        n = self.matrix
-        weights, rows, cols = _pair_weights(basis)
-        kernel = np.zeros((n * n, weights.shape[1]))
-        for lo in range(0, self.frames, _FRAME_CHUNK):
-            hi = min(lo + _FRAME_CHUNK, self.frames)
-            idx = self.flat_index[lo:hi] + (np.arange(hi - lo) * (n * n))[:, None]
-            counts = np.bincount(idx.ravel(), minlength=(hi - lo) * n * n)
-            kernel += counts.reshape(hi - lo, -1).T @ weights[lo:hi]
-        return _pair_kernel_blocks(kernel, rows, cols)
-
-
 class GriddingPlan:
     """Kaiser-Bessel interpolation tables for one trajectory.
 
@@ -253,41 +214,48 @@ class GriddingPlan:
         c = kaiser_bessel_ft(t, width, beta)
         self.apod = np.outer(c, c)
 
-    def forward(self, images):
-        """images (F, B, N, N) -> samples (F, B, d) via deapodize/FFT/gather."""
-        f, b, n, _ = images.shape
+    def forward(self, images, mixing=None):
+        """Channel images (K, B, N, N) -> samples (F, B, d) of the frame
+        images sum_k mixing[t, k] images[k]; mixing is (F, K), the identity
+        (one image per frame) by default.
+
+        One deapodized, oversampled FFT pass over the K*B channel images; each
+        chunk of frames then mixes its spectra from theirs and gathers.
+        """
+        k, b = images.shape[:2]
         g = self.grid
+        mixing = np.eye(k) if mixing is None else mixing
+        spec = _oversampled_fft2(images / self.apod, g).reshape(k, -1)
+        f = len(mixing)
         out = np.empty((f, b, self.d), dtype=np.complex128)
         for lo in range(0, f, _FRAME_CHUNK):
             hi = min(lo + _FRAME_CHUNK, f)
-            spec = _oversampled_fft2(images[lo:hi] / self.apod, g).reshape(
-                hi - lo, b, g * g
-            )
-            idx = np.broadcast_to(
-                self.flat_index[lo:hi, None, :, :],
-                (hi - lo, b, self.d, self.width**2),
-            ).reshape(hi - lo, b, -1)
-            gathered = np.take_along_axis(spec, idx, axis=2).reshape(
-                hi - lo, b, self.d, -1
-            )
+            frames = _mix(mixing[lo:hi], spec).ravel()  # (frames, B, g^2)
+            offs = (np.arange((hi - lo) * b) * (g * g)).reshape(hi - lo, b, 1, 1)
+            gathered = frames[self.flat_index[lo:hi, None] + offs]
             out[lo:hi] = np.sum(gathered * self.weights[lo:hi, None], axis=3)
         return out
 
-    def adjoint(self, samples):
-        """samples (F, B, d) -> images (F, B, N, N); exact transpose of forward."""
+    def adjoint(self, samples, mixing=None):
+        """Samples (F, B, d) -> channel images (K, B, N, N); the exact
+        transpose of forward with the same mixing.
+
+        Each chunk of frames scatters onto its grids and folds them into the
+        K*B channel spectra through conj(mixing); one inverse FFT pass follows.
+        """
         f, b = samples.shape[:2]
         n, g = self.matrix, self.grid
-        out = np.empty((f, b, n, n), dtype=np.complex128)
+        mixing = np.eye(f) if mixing is None else mixing
+        spec = np.zeros((mixing.shape[1], b * g * g), dtype=np.complex128)
         for lo in range(0, f, _FRAME_CHUNK):
             hi = min(lo + _FRAME_CHUNK, f)
             nf = hi - lo
             vals = samples[lo:hi, :, :, None] * self.weights[lo:hi, None].conj()
             offs = (np.arange(nf * b) * (g * g)).reshape(nf, b, 1, 1)
-            idx = self.flat_index[lo:hi, None, :, :] + offs
-            spec = _scatter_add(idx, vals, nf * b * g * g).reshape(nf, b, g, g)
-            cropped = _oversampled_fft2_adjoint(spec, n)
-            out[lo:hi] = cropped / self.apod
-        return out
+            idx = self.flat_index[lo:hi, None] + offs
+            grids = _scatter_add(idx, vals, nf * b * g * g).reshape(nf, -1)
+            spec += _mix(mixing[lo:hi].conj().T, grids)
+        return _oversampled_fft2_adjoint(spec.reshape(-1, b, g, g), n) / self.apod
 
     def normal_kernel(self, basis):
         """Normal-operator spectrum of a real (frames, s) basis on the 2N grid:
@@ -318,6 +286,46 @@ class GriddingPlan:
             kernel += (weights[lo:hi].T @ psf.view(np.float64)).view(np.complex128)
         spectra = _fft.fft2(kernel.reshape(-1, p, p), overwrite_x=True, workers=_FFT_WORKERS)
         return _pair_kernel_blocks(spectra.real.reshape(-1, p * p).T, rows, cols)
+
+
+class CartesianExactPlan(GriddingPlan):
+    """Exact sampler for integer-frequency trajectories: gridding with one
+    tap on the N grid itself.
+
+    Integer frequencies fall on grid bins (k mod N) and alias exactly, so
+    nothing needs deapodizing; the tap weight (-1)^(kx+ky) accounts for the
+    centered-image convention exactly.
+    """
+
+    def __init__(self, matrix, points):
+        n = matrix
+        pts = np.round(np.asarray(points)).astype(np.int64)
+        ix = np.mod(pts[..., 0], n)
+        iy = np.mod(pts[..., 1], n)
+        self.matrix = self.grid = n
+        self.width = 1
+        self.flat_index = (iy * n + ix)[..., None]  # (frames, d, 1)
+        self.weights = np.where((pts[..., 0] + pts[..., 1]) % 2 == 0, 1.0, -1.0)[..., None]
+        self.frames, self.d = pts.shape[:2]
+        self.apod = 1.0
+
+    def normal_kernel(self, basis):
+        """Normal-operator spectrum of a real (frames, s) basis on the N grid:
+        real (N^2, s, s) blocks sum_t B_ti B_tj h_t, frequency-major.
+
+        Integer frequencies make psf_t N-periodic, so H^H H is a circular
+        convolution on the N grid itself, and the spectrum of psf_t there is
+        the frame's sample-count histogram h_t: no transform and no padding.
+        """
+        n = self.matrix
+        weights, rows, cols = _pair_weights(basis)
+        kernel = np.zeros((n * n, weights.shape[1]))
+        for lo in range(0, self.frames, _FRAME_CHUNK):
+            hi = min(lo + _FRAME_CHUNK, self.frames)
+            idx = self.flat_index[lo:hi] + (np.arange(hi - lo) * (n * n))[:, None, None]
+            counts = np.bincount(idx.ravel(), minlength=(hi - lo) * n * n)
+            kernel += counts.reshape(hi - lo, -1).T @ weights[lo:hi]
+        return _pair_kernel_blocks(kernel, rows, cols)
 
 
 def make_plan(matrix, points, oversamp=DEFAULT_OVERSAMP, width=DEFAULT_WIDTH):

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.fft
 
+from mrfrecon import nufft
 from mrfrecon.acquisition import (
     GOLDEN_ANGLE_RAD,
+    TRAJECTORY_KINDS,
     AcquisitionOperator,
     Trajectory,
     density_compensation,
@@ -279,11 +284,70 @@ def test_density_compensation_shapes():
     npt.assert_allclose(flat, 1.0 / 64)
 
 
-# --- Toeplitz normal operator --------------------------------------------------
+# --- subspace-first H and H^H against the per-frame chain ----------------------
 
 
 def _random_tsmi(rng, s, n):
     return rng.standard_normal((s, n, n)) + 1j * rng.standard_normal((s, n, n))
+
+
+def _per_frame_forward(op, x):
+    """Expand frames, weight by coils, then the identity-mixing (per-frame) plan."""
+    frames = np.tensordot(op.basis, x, axes=(1, 0))  # (F, N, N)
+    return op.plan.forward(frames[:, None] * op.coil_maps[None])
+
+
+def _per_frame_adjoint(op, y):
+    """Per-frame plan adjoint, then coil combination and projection on the basis."""
+    frames = np.sum(op.plan.adjoint(y) * op.coil_maps.conj()[None], axis=1)
+    return np.tensordot(op.basis.conj(), frames, axes=(0, 0))
+
+
+@pytest.mark.parametrize("basis", ["real", "complex"])
+@pytest.mark.parametrize("kind", TRAJECTORY_KINDS)
+def test_forward_and_adjoint_match_per_frame_reference(monkeypatch, kind, basis):
+    monkeypatch.setattr(nufft, "_FRAME_CHUNK", 5)  # 12 frames: chunks of 5, 5 and 2
+    op = make_random_operator(16, n=16, coils=2, s=3, frames=12, kind=kind, basis=basis)
+    rng = np.random.default_rng(160)
+    x = _random_tsmi(rng, 3, 16)
+    y = rng.standard_normal(op.kspace_shape) + 1j * rng.standard_normal(op.kspace_shape)
+    for got, ref in ((op.forward(x), _per_frame_forward(op, x)), (op.adjoint(y), _per_frame_adjoint(op, y))):
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+class _FftSpy:
+    """Stands in for scipy.fft in nufft; records the images each transform covers."""
+
+    def __init__(self):
+        self.images = []
+
+    def __getattr__(self, name):
+        transform = getattr(scipy.fft, name)
+
+        def spy(x, *args, **kwargs):
+            self.images.append(math.prod(np.shape(x)[:-2]))
+            return transform(x, *args, **kwargs)
+
+        return spy
+
+
+@pytest.mark.parametrize("kind", TRAJECTORY_KINDS)
+@pytest.mark.parametrize("frames", [12, 40])
+def test_h_and_hh_transform_only_the_channel_images(monkeypatch, kind, frames):
+    """One FFT pass over the s*C channel images, one transform per axis,
+    whatever the frame count."""
+    coils, s = 2, 3
+    op = make_random_operator(17, n=16, coils=coils, s=s, frames=frames, kind=kind)
+    x = _random_tsmi(np.random.default_rng(170), s, 16)
+    y = op.forward(x)
+    for apply, arg in ((op.forward, x), (op.adjoint, y)):
+        spy = _FftSpy()
+        monkeypatch.setattr(nufft, "_fft", spy)
+        apply(arg)
+        assert spy.images == [s * coils] * 2
+
+
+# --- Toeplitz normal operator --------------------------------------------------
 
 
 # normal() needs a real basis (zero-phase RF); complex bases run only through

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy
 
+from mrfrecon.neuralprox import UnrolledModel, save_model
 from mrfrecon.tensorfile import read_json, read_tensor, write_tensor
 
 TINY_CONFIG = {
@@ -510,7 +511,8 @@ def test_dm_pgd_setting_it_cannot_honour_is_a_config_error(pipeline, tmp_path, k
     assert not (tmp_path / "rec").exists()
 
 
-@pytest.mark.parametrize("key,value", BAD_RECON_SETTINGS[:3])
+# train learns its steps from 1/lambda, so any recon.step_size is refused
+@pytest.mark.parametrize("key,value", BAD_RECON_SETTINGS[:3] + [("recon.step_size", 0.5)])
 def test_train_recon_setting_it_cannot_honour_is_a_config_error(pipeline, tmp_path, key, value):
     root, _ = pipeline
     cfg = write_config(tmp_path, {key: value})
@@ -518,6 +520,40 @@ def test_train_recon_setting_it_cannot_honour_is_a_config_error(pipeline, tmp_pa
     assert r.returncode == 2, r.stderr
     assert key in r.stderr
     assert not (tmp_path / "ckpt").exists()
+
+
+@pytest.fixture(scope="module")
+def unrolled_checkpoint(pipeline):
+    """An untrained two-iteration model, as `train` would save it for TINY_CONFIG."""
+    root, _ = pipeline
+    model = UnrolledModel.create(s=TINY_CONFIG["subspace"]["s"], iterations=2, width=4, hidden=8)
+    save_model(root / "unrolled", model)
+    return root / "unrolled"
+
+
+def _neural_unrolled(pipeline, checkpoint, cfg, out):
+    root, _ = pipeline
+    return run_cli(
+        "reconstruct", "--config", cfg, "--data", root / "sim", "--dict", root / "dict",
+        "--model", checkpoint, "--method", "neural-unrolled", "--out", out,
+    )
+
+
+@pytest.mark.parametrize("key,value", [("recon.step_size", 0.1), ("recon.iterations", 3)])
+def test_neural_unrolled_recon_setting_it_cannot_honour_is_a_config_error(
+    pipeline, unrolled_checkpoint, tmp_path, key, value
+):
+    # the checkpoint fixes both: its learned steps, and 2 iterations
+    r = _neural_unrolled(pipeline, unrolled_checkpoint, write_config(tmp_path, {key: value}), tmp_path / "rec")
+    assert r.returncode == 2, r.stderr
+    assert key in r.stderr
+    assert not (tmp_path / "rec").exists()
+
+
+def test_neural_unrolled_runs_with_the_checkpoint_settings(pipeline, unrolled_checkpoint, tmp_path):
+    r = _neural_unrolled(pipeline, unrolled_checkpoint, write_config(tmp_path), tmp_path / "rec")
+    assert r.returncode == 0, r.stderr
+    assert len(read_json(tmp_path / "rec" / "manifest.json")["step_sizes"]) == 2
 
 
 def test_train_batch_size_other_than_one_rejected(pipeline, tmp_path):

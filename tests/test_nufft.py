@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -103,3 +106,99 @@ def test_zero_input_maps_to_zero(random_case):
     plan = nufft.GriddingPlan(n, pts[None])
     assert np.all(plan.forward(np.zeros((1, 1, n, n), complex)) == 0)
     assert np.all(plan.adjoint(np.zeros((1, 1, len(pts)), complex)) == 0)
+
+
+# ---------------------------------------------------------------------------
+# guard: every FFT in the package runs in nufft, on the FFT workers setting, so
+# that --threads reaches each transform and a trace of nufft's FFTs sees them all
+
+FFT_MODULES = ("scipy.fft", "numpy.fft")
+FFT_HELPERS = {
+    "fftfreq", "rfftfreq", "fftshift", "ifftshift", "next_fast_len", "prev_fast_len",
+    "set_workers", "get_workers", "set_backend", "skip_backend", "set_global_backend",
+    "register_backend",
+}
+
+
+def _imported_names(tree):
+    """Local name -> the dotted module path or object it is bound to."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.asname:
+                    names[a.asname] = a.name
+                else:  # `import scipy.fft` binds `scipy`
+                    top = a.name.split(".")[0]
+                    names[top] = top
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for a in node.names:
+                names[a.asname or a.name] = f"{node.module}.{a.name}"
+    return names
+
+
+def _dotted(func):
+    parts = []
+    while isinstance(func, ast.Attribute):
+        parts.append(func.attr)
+        func = func.value
+    if not isinstance(func, ast.Name):
+        return None
+    return [func.id] + parts[::-1]
+
+
+def fft_calls(source):
+    """(line, passes workers=_FFT_WORKERS) of each FFT transform called in source."""
+    tree = ast.parse(source)
+    names = _imported_names(tree)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        parts = _dotted(node.func)
+        if parts is None or parts[0] not in names:
+            continue
+        module, _, fn = ".".join([names[parts[0]]] + parts[1:]).rpartition(".")
+        if module in FFT_MODULES and fn not in FFT_HELPERS:
+            workers = any(
+                kw.arg == "workers" and isinstance(kw.value, ast.Name) and kw.value.id == "_FFT_WORKERS"
+                for kw in node.keywords
+            )
+            found.append((node.lineno, workers))
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("import scipy.fft as _fft\n_fft.fft2(x, workers=_FFT_WORKERS)", [(2, True)]),
+        ("import scipy.fft as _fft\n_fft.ifft(x, axis=0)", [(2, False)]),
+        ("import scipy.fft as _fft\n_fft.fft(x, workers=4)", [(2, False)]),
+        ("import numpy as np\nnp.fft.fft2(x)", [(2, False)]),
+        ("import numpy\nnumpy.fft.ifftn(x)", [(2, False)]),
+        ("import scipy.fft\nscipy.fft.rfft(x)", [(2, False)]),
+        ("from scipy import fft\nfft.dctn(x)", [(2, False)]),
+        ("from scipy.fft import fft2 as f\nf(x)", [(2, False)]),
+        ("import numpy as np\nnp.fft.fftfreq(8)", []),
+        ("import scipy.fft as _fft\n_fft.fftshift(x)", []),
+        ("import numpy as np\nnp.linalg.svd(x)", []),
+        ("fft(x)", []),
+    ],
+)
+def test_fft_call_scan(source, found):
+    assert fft_calls(source) == found
+
+
+def test_every_fft_runs_in_nufft_on_the_workers_setting():
+    package = Path(nufft.__file__).parent
+    outside = [
+        f"{path.name}:{line}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "nufft.py"
+        for line, _ in fft_calls(path.read_text())
+    ]
+    assert not outside, f"FFTs belong in nufft.py: {outside}"
+    calls = fft_calls((package / "nufft.py").read_text())
+    assert calls, "the scan found no FFT in nufft.py"
+    unpinned = [line for line, workers in calls if not workers]
+    assert not unpinned, f"nufft.py lines whose FFT lacks workers=_FFT_WORKERS: {unpinned}"
