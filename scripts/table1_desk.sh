@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Desk-scale end-to-end run comparing the four reconstruction methods on one
 # synthetic phantom, mirroring the trend table of the README. Writes
-# metrics.csv with one block of rows per method. Expect roughly 15-30 minutes
-# single-threaded, dominated by training.
+# metrics.csv with one block of rows per method. Expect about 40 s on a 2-core
+# machine, most of it in training.
 set -euo pipefail
 
 OUT="${1:-table1_out}"

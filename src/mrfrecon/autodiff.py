@@ -9,7 +9,8 @@ several leaves (weight sharing across unrolled iterations) sum up naturally.
 The acquisition enters the graph only as its normal operator N = H^H H
 (apply_normal): complex-linear and self-adjoint, so its vector-Jacobian product
 is N again. Everything else stays real; complex channels are carried as
-stacked real/imaginary planes.
+stacked real/imaginary planes. conv2d builds no column matrix: it keeps only
+its zero-padded input on the tape and sums one small matmul per kernel tap.
 """
 
 import numpy as np
@@ -57,6 +58,29 @@ def c2r_channels(z):
 def r2c_channels(x):
     s = x.shape[0] // 2
     return x[:s] + 1j * x[s:]
+
+
+def _tap_runs(xp, kh, kw, h, wd):
+    """Yield (i, j, run): tap (i, j) of a same convolution reads H * (W + kw - 1) contiguous
+    values of each flat zero-padded channel, from offset i * (W + kw - 1) + j."""
+    row = wd + kw - 1
+    for i in range(kh):
+        for j in range(kw):
+            yield i, j, xp[:, i * row + j : i * row + j + h * row]
+
+
+def _conv_same(x, wv):
+    """Same convolution without bias, the sum over taps of w[:, :, i, j] @ run with the kw - 1
+    wrapped columns of each row cropped once; also the flat padded input (spare zero row last)."""
+    cout, cin, kh, kw = wv.shape
+    h, wd = x.shape[1:]
+    xp = np.pad(x, ((0, 0), (kh // 2, kh // 2 + 1), (kw // 2, kw // 2))).reshape(cin, -1)
+    taps = np.ascontiguousarray(wv.transpose(2, 3, 0, 1))
+    acc = np.zeros((cout, h * (wd + kw - 1)))
+    prod = np.empty_like(acc)
+    for i, j, run in _tap_runs(xp, kh, kw, h, wd):
+        acc += np.matmul(taps[i, j], run, out=prod)
+    return acc.reshape(cout, h, -1)[:, :, :wd], xp
 
 
 class Tape:
@@ -183,33 +207,28 @@ class Tape:
         return self._record(av @ bv, (a, b), vjp)
 
     def conv2d(self, x, w, b):
-        """Same-padded 2-D convolution: x (Cin,H,W), w (Cout,Cin,kh,kw), b (Cout,)."""
+        """'Same' 2-D convolution: x (Cin,H,W), w (Cout,Cin,kh,kw), odd kh and kw, b (Cout,)."""
         xv, wv, bv = x.value, w.value, b.value
         cout, cin, kh, kw = wv.shape
+        if kh % 2 == 0 or kw % 2 == 0:
+            raise ValueError(f"conv2d needs an odd kernel for 'same' padding; w is {wv.shape}")
+        if xv.ndim != 3 or xv.shape[0] != cin:
+            raise ValueError(
+                f"conv2d needs x (Cin, H, W) with Cin = w.shape[1]; x is {xv.shape}, w {wv.shape}"
+            )
         h, wd = xv.shape[1:]
-        ph, pw = kh // 2, kw // 2
-        xp = np.pad(xv, ((0, 0), (ph, ph), (pw, pw)))
-        cols = np.empty((cin, kh, kw, h, wd))
-        for i in range(kh):
-            for j in range(kw):
-                cols[:, i, j] = xp[:, i : i + h, j : j + wd]
-        cols2 = cols.reshape(cin * kh * kw, h * wd)
-        wmat = wv.reshape(cout, -1)
-        out = (wmat @ cols2 + bv[:, None]).reshape(cout, h, wd)
+        conv, xp = _conv_same(xv, wv)
 
         def vjp(g):
-            g2 = g.reshape(cout, -1)
-            dw = (g2 @ cols2.T).reshape(wv.shape)
-            db = g2.sum(axis=1)
-            dcols = (wmat.T @ g2).reshape(cin, kh, kw, h, wd)
-            dxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, i : i + h, j : j + wd] += dcols[:, i, j]
-            dx = dxp[:, ph : ph + h, pw : pw + wd]
-            return dx, dw, db
+            gext = np.pad(g, ((0, 0), (0, 0), (0, kw - 1))).reshape(cout, -1)
+            dw = np.empty(wv.shape)
+            for i, j, run in _tap_runs(xp, kh, kw, h, wd):
+                dw[:, :, i, j] = gext @ run.T
+            # the input gradient is the same convolution of g, kernel flipped and in/out swapped
+            dx = _conv_same(g, wv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))[0]
+            return dx, dw, g.sum(axis=(1, 2))
 
-        return self._record(out, (x, w, b), vjp)
+        return self._record(conv + bv[:, None, None], (x, w, b), vjp)
 
     # ---- shape plumbing ------------------------------------------------------
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -92,6 +94,122 @@ def test_conv2d_gradients():
 
     for p in (x, w, b):
         check_param_grad(build, p)
+
+
+def _conv2d_im2col(x, w, b, g):
+    """The column-matrix conv2d the tape used before: value and (dx, dw, db) for upstream g."""
+    cout, cin, kh, kw = w.shape
+    h, wd = x.shape[1:]
+    ph, pw = kh // 2, kw // 2
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
+    cols = np.empty((cin, kh, kw, h, wd))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp[:, i : i + h, j : j + wd]
+    cols2 = cols.reshape(cin * kh * kw, h * wd)
+    wmat = w.reshape(cout, -1)
+    out = (wmat @ cols2 + b[:, None]).reshape(cout, h, wd)
+    g2 = g.reshape(cout, -1)
+    dcols = (wmat.T @ g2).reshape(cin, kh, kw, h, wd)
+    dxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, i : i + h, j : j + wd] += dcols[:, i, j]
+    dx = dxp[:, ph : ph + h, pw : pw + wd]
+    return out, dx, (g2 @ cols2.T).reshape(w.shape), g2.sum(axis=1)
+
+
+def _conv2d_loops(x, w, b, g):
+    """Direct same convolution, one output pixel and tap at a time, with its three VJPs."""
+    cout, cin, kh, kw = w.shape
+    h, wd = x.shape[1:]
+    xp = np.pad(x, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
+    out = np.zeros((cout, h, wd))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for y in range(h):
+        for xx in range(wd):
+            out[:, y, xx] = b
+            for i in range(kh):
+                for j in range(kw):
+                    out[:, y, xx] += w[:, :, i, j] @ xp[:, y + i, xx + j]
+                    dxp[:, y + i, xx + j] += w[:, :, i, j].T @ g[:, y, xx]
+                    dw[:, :, i, j] += np.outer(g[:, y, xx], xp[:, y + i, xx + j])
+    dx = dxp[:, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + wd]
+    return out, dx, dw, g.sum(axis=(1, 2))
+
+
+@pytest.mark.parametrize(
+    "cin, cout, kh, kw, h, wd",
+    [
+        (3, 4, 3, 3, 5, 7),
+        (2, 5, 1, 1, 5, 7),
+        (3, 2, 5, 5, 5, 7),
+        (4, 3, 3, 3, 7, 5),
+        (2, 3, 1, 3, 4, 6),
+    ],
+)
+def test_conv2d_matches_im2col_and_direct_loops(cin, cout, kh, kw, h, wd):
+    rng = np.random.default_rng(12)
+    x = Param("x", rng.standard_normal((cin, h, wd)))
+    w = Param("w", rng.standard_normal((cout, cin, kh, kw)))
+    b = Param("b", rng.standard_normal(cout))
+    g = rng.standard_normal((cout, h, wd))
+    tape = Tape()
+    out = tape.conv2d(tape.leaf(x), tape.leaf(w), tape.leaf(b))
+    grads = tape.backward(out, seed=g)
+    got = (out.value, grads[x], grads[w], grads[b])
+    for reference in (_conv2d_im2col, _conv2d_loops):
+        for a, ref in zip(got, reference(x.value, w.value, b.value, g)):
+            npt.assert_allclose(a, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+def test_conv2d_gradients_non_square():
+    rng = np.random.default_rng(13)
+    x = Param("x", rng.standard_normal((2, 5, 7)))
+    w = Param("w", rng.standard_normal((3, 2, 3, 3)) * 0.3)
+    b = Param("b", rng.standard_normal(3))
+    target = rng.standard_normal((3, 5, 7))
+
+    def build(tape):
+        return tape.mse(tape.conv2d(tape.leaf(x), tape.leaf(w), tape.leaf(b)), target)
+
+    for p in (x, w, b):
+        check_param_grad(build, p)
+
+
+@pytest.mark.parametrize(
+    "x_shape, w_shape, match",
+    [
+        ((2, 6, 6), (3, 2, 2, 2), r"odd kernel.*\(3, 2, 2, 2\)"),
+        ((2, 6, 6), (3, 2, 3, 4), r"odd kernel.*\(3, 2, 3, 4\)"),
+        ((4, 6, 6), (3, 2, 3, 3), r"\(4, 6, 6\).*\(3, 2, 3, 3\)"),
+    ],
+    ids=["even_kernel", "even_kw", "channel_mismatch"],
+)
+def test_conv2d_rejects_what_it_cannot_honour(x_shape, w_shape, match):
+    tape = Tape()
+    x, w = tape.constant(np.zeros(x_shape)), tape.constant(np.zeros(w_shape))
+    with pytest.raises(ValueError, match=match):
+        tape.conv2d(x, w, tape.constant(np.zeros(w_shape[0])))
+
+
+def test_conv2d_builds_no_column_matrix():
+    # one forward and VJP at 32 -> 32 channels on 32x32 must stay below the
+    # (Cin*9, H*W) float64 column matrix an im2col convolution would build
+    rng = np.random.default_rng(14)
+    x = Param("x", rng.standard_normal((32, 32, 32)))
+    w = Param("w", rng.standard_normal((32, 32, 3, 3)))
+    b = Param("b", rng.standard_normal(32))
+    g = rng.standard_normal((32, 32, 32))
+    tracemalloc.start()
+    try:
+        tape = Tape()
+        tape.backward(tape.conv2d(tape.leaf(x), tape.leaf(w), tape.leaf(b)), seed=g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 9 * 32 * 32 * 8
 
 
 def test_shape_ops_gradients():

@@ -122,6 +122,29 @@ def test_parameter_count_independent_of_iterations():
     assert count(m2) - 2 == count(m7) - 7
 
 
+def test_backward_through_unrolled_encoder_is_repeatable():
+    # a VJP that wrote into a saved activation would change the second pass
+    model = UnrolledModel.create(s=2, iterations=2, width=4, seed=3, hidden=8)
+    op = tiny_operator(seed=3)
+    rng = np.random.default_rng(3)
+    y = rng.standard_normal(op.kspace_shape) + 1j * rng.standard_normal(op.kspace_shape)
+    model.log_alpha.value[:] = np.log(0.5 / op.estimate_operator_norm(iters=20))
+    truth = QMaps(
+        t1_ms=rng.uniform(300, 2000, (8, 8)),
+        t2_ms=rng.uniform(30, 200, (8, 8)),
+        pd=rng.uniform(0.2, 1.0, (8, 8)),
+        mask=np.ones((8, 8), bool),
+    )
+    x0 = op.backproject(y, equalize=False)
+    tape = Tape()
+    loss, _ = unrolled_loss_nodes(tape, model, y, op, x0, truth, TrainConfig())
+    g1 = tape.backward(loss)
+    g2 = tape.backward(loss)
+    assert set(g1) == set(g2) >= set(model.trainable_parameters())
+    for p in g1:
+        npt.assert_array_equal(g1[p], g2[p])
+
+
 def test_unrolled_inference_equals_pgd_engine():
     # the tape-recorded unrolled pass and the numpy PGD engine must agree
     model = tiny_model(seed=7)
