@@ -100,25 +100,18 @@ def make_trajectory(kind, matrix, d=None, frames=1):
     return Trajectory(kind=kind, matrix=n, points=pts)
 
 
-def truncate_acceleration(obj, r):
-    """Keep only the first floor(L/r) frames of a trajectory or k-space array.
+def truncate_acceleration(traj, r):
+    """Keep only the first floor(L/r) frames of a trajectory.
 
     The temporal subspace is NOT recomputed; basis rows beyond the retained
     frames are simply unused downstream.
     """
     if r < 1:
         raise ValueError("acceleration factor must be >= 1")
-    if isinstance(obj, Trajectory):
-        total = obj.frames
-        keep = total // int(r)
-        if keep < 1:
-            raise ValueError(f"acceleration r={r} leaves no frames of {total}")
-        return replace(obj, points=obj.points[:keep])
-    arr = np.asarray(obj)
-    keep = arr.shape[0] // int(r)
+    keep = traj.frames // int(r)
     if keep < 1:
-        raise ValueError(f"acceleration r={r} leaves no frames of {arr.shape[0]}")
-    return arr[:keep]
+        raise ValueError(f"acceleration r={r} leaves no frames of {traj.frames}")
+    return replace(traj, points=traj.points[:keep])
 
 
 def simulate_coil_maps(n_coils, matrix):
@@ -182,17 +175,9 @@ class AcquisitionOperator:
         trajectory: Trajectory whose frame count can be at most the number of
             basis rows.
         subspace: Subspace (or raw (L, s) ndarray) giving temporal weights.
-        oversamp, width: gridding NUFFT configuration.
     """
 
-    def __init__(
-        self,
-        coil_maps,
-        trajectory,
-        subspace,
-        oversamp=nufft.DEFAULT_OVERSAMP,
-        width=nufft.DEFAULT_WIDTH,
-    ):
+    def __init__(self, coil_maps, trajectory, subspace):
         basis = subspace.basis if isinstance(subspace, Subspace) else np.asarray(subspace)
         maps = np.asarray(coil_maps, dtype=np.complex128)
         if maps.ndim != 3 or maps.shape[1] != maps.shape[2]:
@@ -210,9 +195,7 @@ class AcquisitionOperator:
         self.s = self.basis.shape[1]
         self.matrix = trajectory.matrix
         self.n_coils = maps.shape[0]
-        self.plan = nufft.make_plan(
-            trajectory.matrix, trajectory.points, oversamp=oversamp, width=width
-        )
+        self.plan = nufft.make_plan(trajectory.matrix, trajectory.points)
         self.dc_weights = density_compensation(trajectory)
         self._bp_mixing_inv = None
         self._normal_kernel = None
@@ -310,8 +293,8 @@ class AcquisitionOperator:
             return u
         return np.tensordot(self._bp_channel_mixing(), u, axes=(1, 0))
 
-    def estimate_operator_norm(self, iters=30, seed=0):
-        """Largest eigenvalue of H^H H by Lanczos iteration from a fixed seed.
+    def estimate_operator_norm(self, iters=30):
+        """Largest eigenvalue of H^H H by Lanczos iteration from a fixed start.
 
         Runs complex Hermitian Lanczos on normal() and returns the top Ritz
         value of the real tridiagonal matrix it builds, which does not exceed
@@ -324,7 +307,7 @@ class AcquisitionOperator:
         """
         if iters < 1:
             raise ValueError("iters must be >= 1")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         shape = (self.s, self.matrix, self.matrix)
         v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         v /= np.linalg.norm(v)

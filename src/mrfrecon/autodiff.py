@@ -346,14 +346,14 @@ class Tape:
 
 
 class Adam:
-    """Adaptive-moment optimizer over Param objects."""
+    """Adaptive-moment optimizer over Param objects, with the usual moment
+    decay rates and epsilon."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr=1e-3):
         self.params = [p for p in params if p.trainable]
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = {id(p): np.zeros_like(p.value) for p in self.params}
         self._v = {id(p): np.zeros_like(p.value) for p in self.params}

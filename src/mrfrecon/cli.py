@@ -12,7 +12,6 @@ when the package loads (see __init__), and --threads sets the FFT workers.
 
 import argparse
 import copy
-import hashlib
 import json
 import sys
 import time
@@ -21,23 +20,16 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, nufft
 from .acquisition import (
     AcquisitionOperator,
-    Trajectory,
     make_trajectory,
     simulate_coil_maps,
     truncate_acceleration,
 )
-from .dictionary import (
-    DictionaryGrid,
-    Subspace,
-    build_dictionary,
-    compute_subspace,
-)
+from .dictionary import build_dictionary, compute_subspace
 from .epg import SequenceParams, load_flip_schedule_csv, sinusoidal_flip_schedule
 from .errors import ConfigError
-from .maps import QMaps
 from .neuralprox import (
     TrainConfig,
     UnrolledModel,
@@ -48,6 +40,7 @@ from .neuralprox import (
     train_unrolled,
 )
 from .phantom import (
+    PRESETS,
     NoiseSpec,
     make_phantom,
     metrics_rows,
@@ -61,7 +54,18 @@ from .recon import (
     make_dictionary_prox,
     pgd_reconstruct,
 )
-from .tensorfile import open_fresh, read_json, read_tensor, write_json, write_tensor
+from .tensorfile import (
+    input_hashes,
+    load_dictionary,
+    load_maps,
+    load_simulation,
+    open_fresh,
+    save_dictionary,
+    save_maps,
+    save_simulation,
+    sha256,
+    write_json,
+)
 
 DEFAULT_CONFIG = {
     "sequence": {
@@ -155,14 +159,28 @@ def load_config(path):
     return _merge_config(user, DEFAULT_CONFIG)
 
 
+def _at_least(cfg, key, low):
+    """The integer at the dotted config `key`; a config error below `low`."""
+    section, name = key.split(".")
+    value = int(cfg[section][name])
+    if value < low:
+        raise ConfigError(f"{key} must be >= {low}")
+    return value
+
+
+def _noise_sigma(cfg):
+    sigma = float(cfg["noise"]["sigma"])
+    if sigma < 0:
+        raise ConfigError("noise.sigma must be >= 0")
+    return sigma
+
+
 def build_sequence(cfg):
     sc = cfg["sequence"]
     if sc["flip_csv"] is not None:
         flips = load_flip_schedule_csv(sc["flip_csv"])
     elif sc["flip_schedule"] == "sinusoidal":
-        if sc["n_frames"] < 1:
-            raise ConfigError("sequence.n_frames must be >= 1")
-        flips = sinusoidal_flip_schedule(int(sc["n_frames"]))
+        flips = sinusoidal_flip_schedule(_at_least(cfg, "sequence.n_frames", 1))
     else:
         raise ConfigError(
             f"sequence.flip_schedule must be 'sinusoidal' (got {sc['flip_schedule']!r})"
@@ -201,17 +219,13 @@ def build_operator(cfg, matrix, sub):
     tc = cfg["trajectory"]
     if tc["kind"] not in ("golden_radial", "cartesian_full", "cartesian_lines"):
         raise ConfigError(f"trajectory.kind unknown: {tc['kind']!r}")
-    r = int(tc["r"])
-    if r < 1:
-        raise ConfigError("trajectory.r must be >= 1")
-    n_frames = sub.n_frames
-    d = tc["d"] if tc["d"] is not None else matrix
-    traj = make_trajectory(tc["kind"], matrix, d=int(d), frames=n_frames)
+    r = _at_least(cfg, "trajectory.r", 1)
+    if r > sub.n_frames:
+        raise ConfigError(f"trajectory.r={r} leaves no frames of the dictionary's {sub.n_frames}")
+    d = matrix if tc["d"] is None else _at_least(cfg, "trajectory.d", 1)
+    coil_maps = simulate_coil_maps(_at_least(cfg, "coils.count", 1), matrix)
+    traj = make_trajectory(tc["kind"], matrix, d=d, frames=sub.n_frames)
     traj = truncate_acceleration(traj, r)
-    n_coils = int(cfg["coils"]["count"])
-    if n_coils < 1:
-        raise ConfigError("coils.count must be >= 1")
-    coil_maps = simulate_coil_maps(n_coils, matrix)
     return AcquisitionOperator(coil_maps, traj, sub), traj
 
 
@@ -222,33 +236,50 @@ def pgd_config(cfg):
     step estimate (Lanczos, which usually stops well before the cap).
     """
     rc = cfg["recon"]
-    for key in ("iterations", "power_iters"):
-        if int(rc[key]) < 1:
-            raise ConfigError(f"recon.{key} must be >= 1")
+    iterations = _at_least(cfg, "recon.iterations", 1)
+    power_iters = _at_least(cfg, "recon.power_iters", 1)
     try:
         return PgdConfig(
-            iterations=int(rc["iterations"]),
+            iterations=iterations,
             step_sizes=rc["step_size"],
             record_trace=bool(rc["record_trace"]),
-            power_iters=int(rc["power_iters"]),
+            power_iters=power_iters,
         )
     except ValueError as exc:
         raise ConfigError(f"recon.step_size: {exc}") from None
 
 
+def train_config(cfg):
+    """The train block's TrainConfig, checked before any work is done."""
+    tc = cfg["train"]
+    if int(tc["batch_size"]) != 1:
+        raise ConfigError("train.batch_size must be 1; minibatching is not implemented")
+    for key in ("epochs", "n_train", "width", "decoder_epochs", "decoder_hidden"):
+        _at_least(cfg, f"train.{key}", 1)
+    if tc["encoder_epochs"] is not None:
+        _at_least(cfg, "train.encoder_epochs", 1)
+    if len(tc["beta"]) != 3 or min(tc["beta"]) < 0:
+        raise ConfigError("train.beta must be three weights >= 0")
+    if float(tc["lambda"]) < 0:
+        raise ConfigError("train.lambda must be >= 0")
+    return TrainConfig(
+        beta=tuple(tc["beta"]),
+        lam=float(tc["lambda"]),
+        epochs=int(tc["epochs"]),
+        lr=float(tc["lr"]),
+        seed=int(tc["seed"]),
+    )
+
+
 def build_phantom_from_config(cfg, grid=None):
     pc = cfg["phantom"]
-    matrix = int(pc["matrix"])
-    if matrix < 8:
-        raise ConfigError("phantom.matrix must be >= 8")
+    matrix = _at_least(cfg, "phantom.matrix", 8)
     if pc["regions"] is not None:
         regions = pc["regions"]
-    else:
-        from .phantom import PRESETS
-
-        if pc["preset"] not in PRESETS:
-            raise ConfigError(f"phantom.preset unknown: {pc['preset']!r}")
+    elif pc["preset"] in PRESETS:
         regions = PRESETS[pc["preset"]]
+    else:
+        raise ConfigError(f"phantom.preset unknown: {pc['preset']!r}")
     if pc["snap_to_grid"]:
         if grid is None:
             raise ConfigError("phantom.snap_to_grid requires a dictionary")
@@ -262,32 +293,27 @@ def build_phantom_from_config(cfg, grid=None):
 
 
 # ---------------------------------------------------------------------------
-# artifact IO
+# outputs besides the artifact directories of `tensorfile`
 
 
-def _sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
-def write_manifest(outdir, command, config, args, inputs, t0, **results):
-    """manifest.json of a command; `results` are further top-level keys that
-    record what the run decided, such as the step sizes PGD took."""
-    outdir = Path(outdir)
-    outputs = {}
+def write_manifest(args, config, inputs, **results):
+    """manifest.json in --out of the command `args` ran: its echoed arguments,
+    config and inputs, the hash of every other file under --out, `results`
+    (further top-level keys that record what the run decided, such as the
+    step sizes PGD took), versions, and the wall time since main started it."""
+    outdir = args.out
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    for p in sorted(outdir.rglob("*")):
-        if p.is_file() and p.name != "manifest.json":
-            outputs[str(p.relative_to(outdir))] = _sha256(p)
+    echoed = {name: getattr(args, name) for name in args.echo}
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config,
-        "args": args,
+        "args": {k: None if v is None else str(v) for k, v in echoed.items()},
         "inputs": inputs,
-        "outputs": outputs,
+        "outputs": {
+            str(p.relative_to(outdir)): sha256(p)
+            for p in sorted(outdir.rglob("*"))
+            if p.is_file() and p.name != "manifest.json"
+        },
         **results,
         "versions": {
             "mrfrecon": __version__,
@@ -296,111 +322,19 @@ def write_manifest(outdir, command, config, args, inputs, t0, **results):
             "blas": f"{blas['name']} {blas['version']}",
             "python": sys.version.split()[0],
         },
-        "wall_time_s": round(time.monotonic() - t0, 3),
+        "wall_time_s": round(time.monotonic() - args.t0, 3),
     }
     write_json(outdir / "manifest.json", manifest)
     return manifest
 
 
-def save_dictionary(outdir, grid, sub, s):
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_tensor(outdir / "atoms.mrfb", grid.atoms.astype(np.float64))
-    write_tensor(outdir / "atom_norms.mrfb", grid.atom_norms.astype(np.float64))
-    write_tensor(outdir / "atom_t1.mrfb", grid.atom_t1_ms.astype(np.float64))
-    write_tensor(outdir / "atom_t2.mrfb", grid.atom_t2_ms.astype(np.float64))
-    write_tensor(outdir / "subspace.mrfb", sub.basis.astype(np.float64))
-    write_tensor(
-        outdir / "singular_values.mrfb", sub.singular_values.astype(np.float64)
-    )
-    seq = grid.seq
-    write_json(
-        outdir / "dict.json",
-        {
-            "t1_values_ms": grid.t1_values_ms.tolist(),
-            "t2_values_ms": grid.t2_values_ms.tolist(),
-            "n_atoms": grid.n_atoms,
-            "n_frames": grid.n_frames,
-            "s": int(s),
-            "sequence": {
-                "flip_angles_rad": seq.flip_angles_rad.tolist(),
-                "tr_ms": seq.tr_ms,
-                "te_ms": seq.te_ms,
-                "ti_ms": seq.ti_ms,
-                "invert_first": seq.invert_first,
-            },
-        },
-    )
-
-
-def load_dictionary(directory):
-    directory = Path(directory)
-    meta = read_json(directory / "dict.json")
-    seq = SequenceParams(
-        flip_angles_rad=np.asarray(meta["sequence"]["flip_angles_rad"]),
-        tr_ms=meta["sequence"]["tr_ms"],
-        te_ms=meta["sequence"]["te_ms"],
-        ti_ms=meta["sequence"]["ti_ms"],
-        invert_first=meta["sequence"]["invert_first"],
-    )
-    grid = DictionaryGrid(
-        t1_values_ms=np.asarray(meta["t1_values_ms"]),
-        t2_values_ms=np.asarray(meta["t2_values_ms"]),
-        atoms=read_tensor(directory / "atoms.mrfb"),
-        atom_norms=read_tensor(directory / "atom_norms.mrfb"),
-        atom_t1_ms=read_tensor(directory / "atom_t1.mrfb"),
-        atom_t2_ms=read_tensor(directory / "atom_t2.mrfb"),
-        seq=seq,
-    )
-    sub = Subspace(
-        basis=read_tensor(directory / "subspace.mrfb"),
-        singular_values=read_tensor(directory / "singular_values.mrfb"),
-    )
-    return grid, sub
-
-
-def save_maps(directory, qmaps):
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    write_tensor(directory / "t1.mrfb", qmaps.t1_ms.astype(np.float64))
-    write_tensor(directory / "t2.mrfb", qmaps.t2_ms.astype(np.float64))
-    write_tensor(directory / "pd.mrfb", qmaps.pd.astype(np.float64))
-    write_tensor(directory / "mask.mrfb", qmaps.mask.astype(np.float64))
-
-
-def load_maps(directory):
-    directory = Path(directory)
-    return QMaps(
-        t1_ms=read_tensor(directory / "t1.mrfb"),
-        t2_ms=read_tensor(directory / "t2.mrfb"),
-        pd=read_tensor(directory / "pd.mrfb"),
-        mask=read_tensor(directory / "mask.mrfb") > 0.5,
-    )
-
-
-def save_trajectory(outdir, traj, r):
-    outdir = Path(outdir)
-    write_tensor(outdir / "trajectory.mrfb", traj.points.astype(np.float64))
-    write_json(
-        outdir / "trajectory.json",
-        {
-            "kind": traj.kind,
-            "matrix": traj.matrix,
-            "d": traj.d,
-            "frames": traj.frames,
-            "r": int(r),
-        },
-    )
-
-
-def load_trajectory(directory):
-    directory = Path(directory)
-    meta = read_json(directory / "trajectory.json")
-    return Trajectory(
-        kind=meta["kind"],
-        matrix=meta["matrix"],
-        points=read_tensor(directory / "trajectory.mrfb"),
-    )
+def write_csv(path, header, rows):
+    """A CSV of a header line and `rows`; numbers get 17 significant digits."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open_fresh(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")
 
 
 def write_pgm16(path, img, lo, hi):
@@ -413,43 +347,18 @@ def write_pgm16(path, img, lo, hi):
         fh.write(data.tobytes())
 
 
-def write_trace_csv(path, trace):
-    with open_fresh(path, "w") as fh:
-        fh.write("iteration,fidelity\n")
-        for i, fid in trace.to_rows():
-            fh.write(f"{i},{fid:.17g}\n")
-
-
-def write_metrics_csv(path, rows):
-    with open_fresh(path, "w") as fh:
-        fh.write("property,nrmse,mae\n")
-        for prop, nr, ma in rows:
-            fh.write(f"{prop},{nr:.17g},{ma:.17g}\n")
-
-
-def write_loss_history_csv(path, stages):
-    """One `stage,epoch,loss` row per epoch; `stages` maps a stage to its losses."""
-    with open_fresh(path, "w") as fh:
-        fh.write("stage,epoch,loss\n")
-        for stage, history in stages.items():
-            for i, v in enumerate(history):
-                fh.write(f"{stage},{i},{v:.17g}\n")
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
 def cmd_build_dict(args):
-    t0 = time.monotonic()
     cfg = load_config(args.config)
     if args.s is not None:
         cfg["subspace"]["s"] = int(args.s)
     seq = build_sequence(cfg)
     t1_values, t2_values = build_grid_values(cfg)
-    grid = build_dictionary(
-        seq, t1_values, t2_values, k_max=int(cfg["epg"]["k_max"])
-    )
+    k_max = _at_least(cfg, "epg.k_max", 2)
+    grid = build_dictionary(seq, t1_values, t2_values, k_max=k_max)
     s = int(cfg["subspace"]["s"])
     if not 1 <= s <= min(grid.n_frames, grid.n_atoms):
         raise ConfigError(
@@ -460,10 +369,8 @@ def cmd_build_dict(args):
     proj = grid.atoms @ sub.basis.conj()
     resid = grid.atoms - proj @ sub.basis.T
     rel = np.linalg.norm(resid, axis=1)  # atoms are unit norm
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    save_dictionary(outdir, grid, sub, s)
-    write_manifest(outdir, "build-dict", cfg, {"out": str(outdir)}, {}, t0)
+    save_dictionary(args.out, grid, sub)
+    write_manifest(args, cfg, {})
     print(f"n_atoms: {grid.n_atoms}")
     print(
         f"subspace s={s}: mean atom residual {rel.mean():.3e}, "
@@ -472,79 +379,35 @@ def cmd_build_dict(args):
     return 0
 
 
-def _dict_inputs(dict_dir):
-    dict_dir = Path(dict_dir)
-    return {
-        "dictionary": {
-            "path": str(dict_dir),
-            "subspace_sha256": _sha256(dict_dir / "subspace.mrfb"),
-            "atoms_sha256": _sha256(dict_dir / "atoms.mrfb"),
-        }
-    }
-
-
 def cmd_simulate(args):
-    t0 = time.monotonic()
     cfg = load_config(args.config)
+    k_max = _at_least(cfg, "epg.k_max", 2)
+    noise = NoiseSpec(sigma=_noise_sigma(cfg), seed=int(cfg["noise"]["seed"]))
     grid, sub = load_dictionary(args.dict)
     phantom = build_phantom_from_config(cfg, grid=grid)
-    matrix = phantom.maps.shape[0]
-    op, traj = build_operator(cfg, matrix, sub)
-    noise = NoiseSpec(
-        sigma=float(cfg["noise"]["sigma"]), seed=int(cfg["noise"]["seed"])
-    )
-    y = simulate_measurements(
-        phantom, grid.seq, sub, op, noise=noise, k_max=int(cfg["epg"]["k_max"])
-    )
-
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_tensor(outdir / "kspace.mrfb", y)
-    write_tensor(outdir / "coil_maps.mrfb", op.coil_maps)
-    save_trajectory(outdir, traj, cfg["trajectory"]["r"])
-    save_maps(outdir / "truth", phantom.maps.zero_outside_mask())
-    write_manifest(
-        outdir,
-        "simulate",
-        cfg,
-        {"dict": str(args.dict), "out": str(outdir)},
-        _dict_inputs(args.dict),
-        t0,
-    )
+    op, traj = build_operator(cfg, phantom.maps.shape[0], sub)
+    y = simulate_measurements(phantom, grid.seq, sub, op, noise=noise, k_max=k_max)
+    truth = phantom.maps.zero_outside_mask()
+    save_simulation(args.out, y, op.coil_maps, traj, cfg["trajectory"]["r"], truth)
+    write_manifest(args, cfg, input_hashes(args.dict))
     print(f"k-space: {y.shape[0]} frames x {y.shape[1]} coils x {y.shape[2]} samples")
     return 0
 
 
-def _load_sim(data_dir):
-    data_dir = Path(data_dir)
-    y = read_tensor(data_dir / "kspace.mrfb")
-    coil_maps = read_tensor(data_dir / "coil_maps.mrfb")
-    traj = load_trajectory(data_dir)
-    manifest = read_json(data_dir / "manifest.json")
-    return y, coil_maps, traj, manifest
-
-
 def cmd_reconstruct(args):
-    t0 = time.monotonic()
     cfg = load_config(args.config)
     method = args.method
-    if method not in RECON_METHODS:
-        raise ConfigError(f"recon method must be one of {RECON_METHODS}")
     pcfg = pgd_config(cfg) if method == "dm-pgd" else None
-    y, coil_maps, traj, sim_manifest = _load_sim(args.data)
+    y, coil_maps, traj, sim_inputs = load_simulation(args.data)
     grid, sub = load_dictionary(args.dict)
-
-    recorded = (
-        sim_manifest.get("inputs", {}).get("dictionary", {}).get("subspace_sha256")
-    )
-    current = _sha256(Path(args.dict) / "subspace.mrfb")
-    if recorded is not None and recorded != current:
+    inputs = input_hashes(args.dict, args.data, args.model)
+    recorded = sim_inputs.get("dictionary", {}).get("subspace_sha256")
+    if recorded not in (None, inputs["dictionary"]["subspace_sha256"]):
         raise ConfigError(
             "subspace hash mismatch: measurements were simulated with a "
             "different dictionary subspace"
         )
 
-    op = AcquisitionOperator(coil_maps, traj, sub)
     model = None
     if method in ("neural-unrolled", "bp-neural"):
         if args.model is None:
@@ -556,9 +419,7 @@ def cmd_reconstruct(args):
         if method == "neural-unrolled" and int(rc["iterations"]) != model.iterations:
             raise ConfigError(f"recon.iterations must equal the checkpoint's {model.iterations}")
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-
+    op = AcquisitionOperator(coil_maps, traj, sub)
     results = {}
     if method == "bp-dm":
         maps = backprojection_baseline(y, op, grid=grid, sub=sub)
@@ -576,80 +437,38 @@ def cmd_reconstruct(args):
                 init_equalize=False,
             )
         maps, _, trace = pgd_reconstruct(y, op, prox, pcfg)
-        write_trace_csv(outdir / "trace.csv", trace)
+        write_csv(args.out / "trace.csv", "iteration,fidelity", enumerate(trace.fidelity))
         results["step_sizes"] = trace.step_sizes
 
-    save_maps(outdir, maps)
-    inputs = _dict_inputs(args.dict)
-    inputs["data"] = {
-        "path": str(args.data),
-        "kspace_sha256": _sha256(Path(args.data) / "kspace.mrfb"),
-    }
-    if args.model is not None:
-        inputs["model"] = {"path": str(args.model)}
-    write_manifest(
-        outdir,
-        "reconstruct",
-        cfg,
-        {
-            "data": str(args.data),
-            "dict": str(args.dict),
-            "method": method,
-            "model": None if args.model is None else str(args.model),
-            "out": str(outdir),
-        },
-        inputs,
-        t0,
-        **results,
-    )
-    print(f"reconstructed {method} -> {outdir}")
+    save_maps(args.out, maps)
+    write_manifest(args, cfg, inputs, **results)
+    print(f"reconstructed {method} -> {args.out}")
     return 0
 
 
 def cmd_train(args):
-    t0 = time.monotonic()
     cfg = load_config(args.config)
     tc = cfg["train"]
-    if int(tc["batch_size"]) != 1:
-        raise ConfigError("train.batch_size must be 1; minibatching is not implemented")
+    train_cfg = train_config(cfg)
     pcfg = pgd_config(cfg)
     if pcfg.step_sizes is not None:
         raise ConfigError("recon.step_size cannot be set for train: unrolled steps start at 1/lambda")
+    k_max = _at_least(cfg, "epg.k_max", 2)
+    sigma = _noise_sigma(cfg)
+    matrix = _at_least(cfg, "phantom.matrix", 8)
     grid, sub = load_dictionary(args.dict)
-    matrix = int(cfg["phantom"]["matrix"])
     op, _ = build_operator(cfg, matrix, sub)
-
-    train_cfg = TrainConfig(
-        beta=tuple(tc["beta"]),
-        lam=float(tc["lambda"]),
-        epochs=int(tc["epochs"]),
-        lr=float(tc["lr"]),
-        seed=int(tc["seed"]),
-        batch_size=int(tc["batch_size"]),
-    )
 
     # training phantoms with randomized ellipse layouts
     rng = np.random.default_rng(train_cfg.seed)
     dataset = []
-    k_max = int(cfg["epg"]["k_max"])
     for _ in range(int(tc["n_train"])):
         phantom = make_phantom(
             {"regions": random_regions(rng, int(tc["n_regions"]))}, matrix
         )
-        y = simulate_measurements(
-            phantom,
-            grid.seq,
-            sub,
-            op,
-            noise=NoiseSpec(
-                sigma=float(cfg["noise"]["sigma"]), seed=int(rng.integers(2**31))
-            ),
-            k_max=k_max,
-        )
+        noise = NoiseSpec(sigma=sigma, seed=int(rng.integers(2**31)))
+        y = simulate_measurements(phantom, grid.seq, sub, op, noise=noise, k_max=k_max)
         dataset.append((y, phantom.maps.zero_outside_mask()))
-
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     print("pretraining Bloch decoder ...")
     decoder, dec_history = pretrain_bloch_decoder(
@@ -688,7 +507,7 @@ def cmd_train(args):
     _, enc_history = pretrain_encoder(dataset, op, model.encoder, enc_cfg)
     print(f"baseline encoder loss: {enc_history[-1]:.3e}")
     save_model(
-        outdir / "baseline",
+        args.out / "baseline",
         model,
         seed=train_cfg.seed,
         train_config={"stage": "baseline", "epochs": enc_epochs},
@@ -701,7 +520,7 @@ def cmd_train(args):
     _, history = train_unrolled(dataset, op, model, train_cfg)
     print(f"unrolled loss: {history[-1]:.3e}")
     save_model(
-        outdir / "unrolled",
+        args.out / "unrolled",
         model,
         seed=train_cfg.seed,
         train_config={
@@ -713,44 +532,28 @@ def cmd_train(args):
         },
         loss_history=history,
     )
-    write_loss_history_csv(
-        outdir / "loss_history.csv",
-        {"decoder": dec_history, "baseline": enc_history, "unrolled": history},
-    )
-    write_manifest(
-        outdir,
-        "train",
-        cfg,
-        {"dict": str(args.dict), "out": str(outdir)},
-        _dict_inputs(args.dict),
-        t0,
-    )
+    stages = {"decoder": dec_history, "baseline": enc_history, "unrolled": history}
+    rows = [(stage, i, v) for stage, h in stages.items() for i, v in enumerate(h)]
+    write_csv(args.out / "loss_history.csv", "stage,epoch,loss", rows)
+    write_manifest(args, cfg, input_hashes(args.dict))
     return 0
 
 
 def cmd_eval(args):
-    est = load_maps(args.est)
-    truth = load_maps(args.truth)
-    rows = metrics_rows(est, truth)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_metrics_csv(out, rows)
+    rows = metrics_rows(load_maps(args.est), load_maps(args.truth))
+    write_csv(args.out, "property,nrmse,mae", rows)
     for prop, nr, ma in rows:
         print(f"{prop}: nrmse={nr:.4f} mae={ma:.4f}")
     return 0
 
 
 def cmd_render(args):
-    t0 = time.monotonic()
     maps = load_maps(args.maps)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     for prop, (lo, hi) in RENDER_WINDOWS.items():
-        write_pgm16(outdir / f"{prop}.pgm", maps.property_map(prop), lo, hi)
-    write_manifest(
-        outdir, "render", {}, {"maps": str(args.maps), "out": str(outdir)}, {}, t0
-    )
-    print(f"rendered t1/t2/pd -> {outdir}")
+        write_pgm16(args.out / f"{prop}.pgm", maps.property_map(prop), lo, hi)
+    write_manifest(args, {}, {})
+    print(f"rendered t1/t2/pd -> {args.out}")
     return 0
 
 
@@ -769,43 +572,39 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build-dict", help="build dictionary + subspace")
-    p.add_argument("--config", default=None)
+    def command(name, func, help, echo, config=True):
+        """A subcommand; `echo` names the arguments its manifest records."""
+        p = sub.add_parser(name, help=help)
+        if config:
+            p.add_argument("--config", default=None)
+        p.add_argument("--out", required=True, type=Path)
+        p.set_defaults(func=func, echo=echo)
+        return p
+
+    p = command("build-dict", cmd_build_dict, "build dictionary + subspace", ("out",))
     p.add_argument("--s", type=int, default=None, help="override subspace size")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_build_dict)
 
-    p = sub.add_parser("simulate", help="simulate phantom measurements")
-    p.add_argument("--config", default=None)
+    p = command("simulate", cmd_simulate, "simulate phantom measurements", ("dict", "out"))
     p.add_argument("--dict", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("reconstruct", help="reconstruct maps from measurements")
-    p.add_argument("--config", default=None)
+    p = command(
+        "reconstruct", cmd_reconstruct, "reconstruct maps from measurements",
+        ("data", "dict", "method", "model", "out"),
+    )
     p.add_argument("--data", required=True)
     p.add_argument("--dict", required=True)
     p.add_argument("--model", default=None)
     p.add_argument("--method", required=True, choices=RECON_METHODS)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_reconstruct)
 
-    p = sub.add_parser("train", help="train the unrolled model")
-    p.add_argument("--config", default=None)
+    p = command("train", cmd_train, "train the unrolled model", ("dict", "out"))
     p.add_argument("--dict", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="NRMSE/MAE of estimated maps vs truth")
+    p = command("eval", cmd_eval, "NRMSE/MAE of estimated maps vs truth", (), config=False)
     p.add_argument("--est", required=True)
     p.add_argument("--truth", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("render", help="render maps to 16-bit PGM images")
+    p = command("render", cmd_render, "render maps to 16-bit PGM images", ("maps", "out"), config=False)
     p.add_argument("--maps", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_render)
     return parser
 
 
@@ -815,9 +614,8 @@ def main(argv=None):
     if args.threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2
-    from . import nufft
-
     nufft.set_fft_workers(args.threads)
+    args.t0 = time.monotonic()  # the manifest's wall time counts from here
     try:
         return args.func(args)
     except ConfigError as exc:

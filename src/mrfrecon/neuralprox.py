@@ -18,6 +18,7 @@ from .dictionary import compress
 from .epg import DEFAULT_K_MAX, simulate_epg_batch
 from .errors import TrainingFailure
 from .maps import QMaps
+from .tensorfile import load_checkpoint, save_checkpoint
 
 # bounded output activations of the encoder; every prox output is physical
 T1_BOUNDS_MS = (100.0, 4000.0)
@@ -26,6 +27,8 @@ PD_BOUNDS = (0.0, 2.0)
 
 # map-loss normalization so beta weights compare like quantities
 MAP_NORMS = (T1_BOUNDS_MS[1], T2_BOUNDS_MS[1], 1.0)
+
+DECODER_BATCH = 256  # (T1, T2) pairs per decoder pretraining step
 
 
 @dataclass
@@ -184,10 +187,11 @@ class UnrolledModel:
         self.iterations = iterations
 
     @classmethod
-    def create(cls, s, iterations, width=32, seed=0, alpha0=1.0, attention=False, hidden=64):
+    def create(cls, s, iterations, width=32, seed=0, attention=False, hidden=64):
+        """A fresh model; every step size starts at 1 until the caller sets them."""
         encoder = EncoderNet(s, width=width, seed=seed, attention=attention)
         decoder = BlochDecoderNet(s, hidden=hidden, seed=seed + 1)
-        log_alpha = Param("log_alpha", np.full(iterations, np.log(alpha0)))
+        log_alpha = Param("log_alpha", np.zeros(iterations))
         return cls(encoder, decoder, log_alpha, iterations)
 
     @property
@@ -385,7 +389,6 @@ def pretrain_bloch_decoder(
     lr=1e-3,
     seed=0,
     n_offgrid=1500,
-    batch_size=256,
     val_size=500,
     threshold=0.02,
     hidden=64,
@@ -426,8 +429,8 @@ def pretrain_bloch_decoder(
     for _ in range(epochs):
         order = rng.permutation(n)
         total = 0.0
-        for lo in range(0, n, batch_size):
-            sel = order[lo : lo + batch_size]
+        for lo in range(0, n, DECODER_BATCH):
+            sel = order[lo : lo + DECODER_BATCH]
             tape = Tape()
             pred = decoder.apply(
                 tape, tape.constant(t1_all[sel]), tape.constant(t2_all[sel])
@@ -459,8 +462,6 @@ def decoder_validation_error(decoder, t1_ms, t2_ms, targets):
 
 def save_model(directory, model, seed=None, train_config=None, loss_history=None):
     """Write an UnrolledModel checkpoint: named weights + JSON manifest."""
-    from .tensorfile import save_checkpoint
-
     arrays = {p.name: p.value for p in model.encoder.parameters()}
     arrays.update({p.name: p.value for p in model.decoder.parameters()})
     arrays["log_alpha"] = model.log_alpha.value
@@ -483,8 +484,6 @@ def save_model(directory, model, seed=None, train_config=None, loss_history=None
 
 def load_model(directory):
     """Load an UnrolledModel checkpoint written by save_model."""
-    from .tensorfile import load_checkpoint
-
     arrays, manifest = load_checkpoint(directory)
     arch = manifest["architecture"]
     model = UnrolledModel.create(

@@ -39,8 +39,8 @@ import math
 import numpy as np
 import scipy.fft as _fft
 
-DEFAULT_OVERSAMP = 2.0
-DEFAULT_WIDTH = 4
+OVERSAMP = 2.0  # gridding: oversampled grid size per image size
+KERNEL_WIDTH = 4  # gridding: Kaiser-Bessel taps per axis
 
 _FRAME_CHUNK = 64  # cap on frames per gather/scatter batch, for memory
 
@@ -173,10 +173,10 @@ class GriddingPlan:
     phase).
     """
 
-    def __init__(self, matrix, points, oversamp=DEFAULT_OVERSAMP, width=DEFAULT_WIDTH):
-        n = matrix
-        g = int(round(oversamp * n))
-        beta = beatty_beta(width, oversamp)
+    def __init__(self, matrix, points):
+        n, w = matrix, KERNEL_WIDTH
+        g = int(round(OVERSAMP * n))
+        beta = beatty_beta(w, OVERSAMP)
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 3 or pts.shape[2] != 2:
             raise ValueError("points must be (frames, d, 2)")
@@ -185,13 +185,12 @@ class GriddingPlan:
 
         # oversampled-grid coordinates of each sample
         u = pts * (g / float(n))
-        w = int(width)
         offs = np.arange(w)
         tabs = []
         for axis in range(2):
-            m0 = np.ceil(u[..., axis] - width / 2.0)
+            m0 = np.ceil(u[..., axis] - w / 2.0)
             m = m0[..., None] + offs  # (frames, d, w), centered frequencies
-            val = kaiser_bessel(m - u[..., axis][..., None], width, beta)
+            val = kaiser_bessel(m - u[..., axis][..., None], w, beta)
             # fold the image-centering phase e^{i pi m N / G} into the weights
             phase = np.exp(1j * np.pi * m * n / g)
             tabs.append((np.mod(m.astype(np.int64), g), val * phase))
@@ -211,7 +210,7 @@ class GriddingPlan:
 
         # image-domain apodization correction (separable)
         t = (np.arange(n) - n // 2) / float(g)
-        c = kaiser_bessel_ft(t, width, beta)
+        c = kaiser_bessel_ft(t, w, beta)
         self.apod = np.outer(c, c)
 
     def forward(self, images, mixing=None):
@@ -328,8 +327,8 @@ class CartesianExactPlan(GriddingPlan):
         return _pair_kernel_blocks(kernel, rows, cols)
 
 
-def make_plan(matrix, points, oversamp=DEFAULT_OVERSAMP, width=DEFAULT_WIDTH):
+def make_plan(matrix, points):
     """Pick the exact Cartesian path for integer trajectories, else gridding."""
     if is_integer_trajectory(points, matrix):
         return CartesianExactPlan(matrix, points)
-    return GriddingPlan(matrix, points, oversamp=oversamp, width=width)
+    return GriddingPlan(matrix, points)

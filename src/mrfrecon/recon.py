@@ -63,9 +63,6 @@ class ReconTrace:
     snapshots: list = field(default_factory=list)
     step_sizes: list = field(default_factory=list)
 
-    def to_rows(self):
-        return [(i, f) for i, f in enumerate(self.fidelity)]
-
 
 def identity_prox(g):
     return g, None

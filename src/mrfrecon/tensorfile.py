@@ -1,4 +1,4 @@
-"""Bit-exact binary tensor format and model-checkpoint helpers.
+"""Bit-exact binary tensor format and the artifact directories built from it.
 
 Layout (little-endian throughout):
 
@@ -9,6 +9,11 @@ Layout (little-endian throughout):
     payload      row-major values; complex stored interleaved re,im
 
 Round-trips are bit-exact for every supported dtype, including empty tensors.
+
+Every artifact directory (dictionary, simulation, maps, model checkpoint) is a
+set of named tensors, each `<name>.mrfb`, plus JSON sidecars. Its layout is
+defined here, and its tensors go through one pair: write_tensors and
+read_tensors.
 
 Every file the package writes is opened through `open_fresh`, which replaces a
 regular file already at the path with a new one instead of truncating and
@@ -25,6 +30,7 @@ temp file renamed over the old one starts the same close-time flush as a
 truncation.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -33,6 +39,11 @@ import struct
 from pathlib import Path
 
 import numpy as np
+
+from .acquisition import Trajectory
+from .dictionary import DictionaryGrid, Subspace
+from .epg import SequenceParams
+from .maps import QMaps
 
 MAGIC = b"MRFB1\x00"
 
@@ -142,28 +153,153 @@ def read_json(path):
             raise ValueError(f"{path}: {exc}") from None
 
 
+def sha256(path):
+    """Hex SHA-256 of a file's bytes."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# artifact directories: named tensors, each `<name>.mrfb`, plus JSON sidecars
+
+
+def write_tensors(directory, arrays):
+    """Write each array of `arrays` ({name: ndarray}) as <directory>/<name>.mrfb."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, arr in arrays.items():
+        write_tensor(directory / f"{name}.mrfb", arr)
+
+
+def read_tensors(directory, names):
+    """{name: ndarray} of the <directory>/<name>.mrfb files."""
+    return {name: read_tensor(Path(directory) / f"{name}.mrfb") for name in names}
+
+
+def _float64(**arrays):
+    return {name: np.asarray(arr, dtype=np.float64) for name, arr in arrays.items()}
+
+
+def save_dictionary(directory, grid, sub):
+    """Atoms, their norms and grid values, and the subspace, all f64, plus a
+    dict.json sidecar (grid values, s, sequence)."""
+    write_tensors(
+        directory,
+        _float64(
+            atoms=grid.atoms,
+            atom_norms=grid.atom_norms,
+            atom_t1=grid.atom_t1_ms,
+            atom_t2=grid.atom_t2_ms,
+            subspace=sub.basis,
+            singular_values=sub.singular_values,
+        ),
+    )
+    seq = grid.seq
+    meta = {
+        "t1_values_ms": grid.t1_values_ms.tolist(),
+        "t2_values_ms": grid.t2_values_ms.tolist(),
+        "n_atoms": grid.n_atoms,
+        "n_frames": grid.n_frames,
+        "s": sub.s,
+        "sequence": {
+            "flip_angles_rad": seq.flip_angles_rad.tolist(),
+            "tr_ms": seq.tr_ms,
+            "te_ms": seq.te_ms,
+            "ti_ms": seq.ti_ms,
+            "invert_first": seq.invert_first,
+        },
+    }
+    write_json(Path(directory) / "dict.json", meta)
+
+
+def load_dictionary(directory):
+    """(DictionaryGrid, Subspace) of a directory written by save_dictionary."""
+    meta = read_json(Path(directory) / "dict.json")
+    sq = meta["sequence"]
+    seq = SequenceParams(
+        np.asarray(sq["flip_angles_rad"]), sq["tr_ms"], sq["te_ms"], sq["ti_ms"], sq["invert_first"]
+    )
+    t = read_tensors(
+        directory, ("atoms", "atom_norms", "atom_t1", "atom_t2", "subspace", "singular_values")
+    )
+    grid = DictionaryGrid(
+        t1_values_ms=np.asarray(meta["t1_values_ms"]),
+        t2_values_ms=np.asarray(meta["t2_values_ms"]),
+        atoms=t["atoms"],
+        atom_norms=t["atom_norms"],
+        atom_t1_ms=t["atom_t1"],
+        atom_t2_ms=t["atom_t2"],
+        seq=seq,
+    )
+    return grid, Subspace(basis=t["subspace"], singular_values=t["singular_values"])
+
+
+def save_maps(directory, qmaps):
+    """T1, T2, PD and mask (1.0 inside), each an f64 tensor."""
+    maps = _float64(t1=qmaps.t1_ms, t2=qmaps.t2_ms, pd=qmaps.pd, mask=qmaps.mask)
+    write_tensors(directory, maps)
+
+
+def load_maps(directory):
+    t = read_tensors(directory, ("t1", "t2", "pd", "mask"))
+    return QMaps(t1_ms=t["t1"], t2_ms=t["t2"], pd=t["pd"], mask=t["mask"] > 0.5)
+
+
+def save_simulation(directory, kspace, coil_maps, traj, r, truth):
+    """k-space and coil maps as given, the trajectory points in f64 plus a
+    trajectory.json sidecar (kind, matrix, d, frames, r), and the true maps
+    under truth/."""
+    points = np.asarray(traj.points, dtype=np.float64)
+    write_tensors(directory, {"kspace": kspace, "coil_maps": coil_maps, "trajectory": points})
+    meta = {"kind": traj.kind, "matrix": traj.matrix, "d": traj.d, "frames": traj.frames, "r": int(r)}
+    write_json(Path(directory) / "trajectory.json", meta)
+    save_maps(Path(directory) / "truth", truth)
+
+
+def load_simulation(directory):
+    """(k-space, coil maps, Trajectory, the inputs its manifest records) of a
+    simulation directory."""
+    directory = Path(directory)
+    t = read_tensors(directory, ("kspace", "coil_maps", "trajectory"))
+    meta = read_json(directory / "trajectory.json")
+    traj = Trajectory(kind=meta["kind"], matrix=meta["matrix"], points=t["trajectory"])
+    inputs = read_json(directory / "manifest.json").get("inputs", {})
+    return t["kspace"], t["coil_maps"], traj, inputs
+
+
+def input_hashes(dict_dir, data_dir=None, model_dir=None):
+    """A manifest's `inputs`: the paths read, with the hashes of the
+    dictionary's subspace and atoms and of the simulation's k-space."""
+    dict_dir = Path(dict_dir)
+    inputs = {
+        "dictionary": {
+            "path": str(dict_dir),
+            "subspace_sha256": sha256(dict_dir / "subspace.mrfb"),
+            "atoms_sha256": sha256(dict_dir / "atoms.mrfb"),
+        }
+    }
+    if data_dir is not None:
+        kspace_hash = sha256(Path(data_dir) / "kspace.mrfb")
+        inputs["data"] = {"path": str(data_dir), "kspace_sha256": kspace_hash}
+    if model_dir is not None:
+        inputs["model"] = {"path": str(model_dir)}
+    return inputs
+
+
 def save_checkpoint(directory, arrays, manifest):
     """Save named weight arrays plus a JSON manifest into a directory.
 
-    `arrays` maps a name to an ndarray; each is stored as `<name>.mrfb` and the
-    manifest records the names so loading does not depend on directory listing
-    order.
+    The manifest (checkpoint.json) records the names, so loading does not
+    depend on directory listing order.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    names = sorted(arrays)
-    for name in names:
-        write_tensor(directory / f"{name}.mrfb", arrays[name])
-    manifest = dict(manifest)
-    manifest["weights"] = names
-    write_json(directory / "checkpoint.json", manifest)
+    write_tensors(directory, arrays)
+    write_json(Path(directory) / "checkpoint.json", {**manifest, "weights": sorted(arrays)})
 
 
 def load_checkpoint(directory):
     """Load (arrays, manifest) from a checkpoint directory."""
-    directory = Path(directory)
-    manifest = read_json(directory / "checkpoint.json")
-    arrays = {
-        name: read_tensor(directory / f"{name}.mrfb") for name in manifest["weights"]
-    }
-    return arrays, manifest
+    manifest = read_json(Path(directory) / "checkpoint.json")
+    return read_tensors(directory, manifest["weights"]), manifest

@@ -83,8 +83,6 @@ def test_truncate_paper_factors():
     assert truncate_acceleration(traj, 10).frames == 100
     assert truncate_acceleration(traj, 1).frames == 1000
     assert truncate_acceleration(traj, 1000).frames == 1
-    arr = np.zeros((1000, 2, 4))
-    assert truncate_acceleration(arr, 10).shape[0] == 100
 
 
 def test_truncate_keeps_leading_frames():

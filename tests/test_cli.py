@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy
 
+from mrfrecon import cli
 from mrfrecon.neuralprox import UnrolledModel, save_model
 from mrfrecon.tensorfile import read_json, read_tensor, write_tensor
 
@@ -81,6 +82,55 @@ def test_build_dict_outputs(pipeline):
     assert np.allclose(np.linalg.norm(atoms, axis=1), 1.0)
 
 
+def _layout(directory):
+    """{relative path: MRFB dtype code, or None for a file of another kind}."""
+    return {
+        str(p.relative_to(directory)): p.read_bytes()[6] if p.suffix == ".mrfb" else None
+        for p in Path(directory).rglob("*")
+        if p.is_file()
+    }
+
+
+F64, C128 = 2, 4  # MRFB dtype codes
+MAPS_LAYOUT = {"t1.mrfb": F64, "t2.mrfb": F64, "pd.mrfb": F64, "mask.mrfb": F64}
+
+
+def test_simulate_writes_exactly_the_documented_files(pipeline):
+    root, _ = pipeline
+    truth = {f"truth/{name}": code for name, code in MAPS_LAYOUT.items()}
+    assert _layout(root / "sim") == {
+        "kspace.mrfb": C128,
+        "coil_maps.mrfb": C128,
+        "trajectory.mrfb": F64,
+        "trajectory.json": None,
+        "manifest.json": None,
+        **truth,
+    }
+
+
+@pytest.mark.parametrize("method, extra", [("dm-pgd", {"trace.csv": None}), ("bp-dm", {})])
+def test_reconstruct_writes_exactly_the_documented_files(pipeline, tmp_path, method, extra):
+    root, cfg = pipeline
+    r = run_cli(
+        "reconstruct", "--config", cfg, "--data", root / "sim", "--dict", root / "dict",
+        "--method", method, "--out", tmp_path / "rec",
+    )
+    assert r.returncode == 0, r.stderr
+    assert _layout(tmp_path / "rec") == {**MAPS_LAYOUT, "manifest.json": None, **extra}
+
+
+def test_benchmark_entry_points_build_the_simulated_operator(pipeline):
+    """load_config -> load_dictionary -> build_operator, as the benchmark calls them."""
+    root, cfg_path = pipeline
+    cfg = cli.load_config(cfg_path)
+    grid, sub = cli.load_dictionary(root / "dict")
+    op, traj = cli.build_operator(cfg, int(cfg["phantom"]["matrix"]), sub)
+    assert grid.n_frames == sub.n_frames == 40
+    assert op.kspace_shape == read_tensor(root / "sim" / "kspace.mrfb").shape
+    np.testing.assert_array_equal(traj.points, read_tensor(root / "sim" / "trajectory.mrfb"))
+    assert callable(cli.main) and callable(cli.write_manifest)
+
+
 def test_build_dict_writes_float64_atoms_and_subspace(pipeline):
     root, _ = pipeline
     for name in ("atoms.mrfb", "subspace.mrfb"):
@@ -139,6 +189,28 @@ def test_invalid_grid_exit_code_names_field(tmp_path):
     r = run_cli("build-dict", "--config", cfg, "--out", tmp_path / "bad")
     assert r.returncode == 2
     assert "grid.t1" in r.stderr
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("simulate", "trajectory.d", 0),
+        ("simulate", "trajectory.r", 1000),  # the dictionary has 40 frames
+        ("simulate", "noise.sigma", -1.0),
+        ("simulate", "epg.k_max", 1),
+        ("build-dict", "epg.k_max", 1),
+    ],
+)
+def test_simulate_or_build_dict_setting_it_cannot_honour_is_a_config_error(
+    pipeline, tmp_path, command, key, value
+):
+    root, _ = pipeline
+    cfg = write_config(tmp_path, {key: value})
+    dict_arg = ("--dict", root / "dict") if command == "simulate" else ()
+    r = run_cli(command, "--config", cfg, *dict_arg, "--out", tmp_path / "out")
+    assert r.returncode == 2, r.stderr
+    assert key in r.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -450,10 +522,13 @@ def test_rerun_from_manifest_reproduces_outputs(pipeline, tmp_path):
         assert (root / "sim" / name).read_bytes() == (tmp_path / "sim2" / name).read_bytes()
 
 
-@pytest.mark.slow
-def test_train_and_neural_reconstruct(tmp_path):
+@pytest.fixture(scope="module")
+def trained(pipeline):
+    """`train` on the pipeline's dictionary; the train keys leave it and the
+    simulation as they are."""
+    root, _ = pipeline
     cfg = write_config(
-        tmp_path,
+        root,
         {
             "train.epochs": 3,
             "train.encoder_epochs": 3,
@@ -464,23 +539,38 @@ def test_train_and_neural_reconstruct(tmp_path):
             "train.width": 4,
             "recon.iterations": 2,
         },
+        name="train.json",
     )
-    r = run_cli("build-dict", "--config", cfg, "--out", tmp_path / "dict")
+    r = run_cli("train", "--config", cfg, "--dict", root / "dict", "--out", root / "ckpt")
     assert r.returncode == 0, r.stderr
-    r = run_cli("simulate", "--config", cfg, "--dict", tmp_path / "dict", "--out", tmp_path / "sim")
-    assert r.returncode == 0, r.stderr
-    r = run_cli("train", "--config", cfg, "--dict", tmp_path / "dict", "--out", tmp_path / "ckpt")
-    assert r.returncode == 0, r.stderr
-    assert (tmp_path / "ckpt" / "unrolled" / "checkpoint.json").exists()
-    assert (tmp_path / "ckpt" / "loss_history.csv").exists()
+    return root / "ckpt", cfg
 
+
+@pytest.mark.slow
+def test_train_writes_exactly_the_documented_files(trained):
+    ckpt, _ = trained
+    expected = {"loss_history.csv": None, "manifest.json": None}
+    for stage in ("baseline", "unrolled"):
+        weights = read_json(ckpt / stage / "checkpoint.json")["weights"]
+        assert "log_alpha" in weights and "enc_w1" in weights and "dec_w1" in weights
+        expected[f"{stage}/checkpoint.json"] = None
+        expected.update({f"{stage}/{name}.mrfb": F64 for name in weights})
+    assert _layout(ckpt) == expected
+    lines = (ckpt / "loss_history.csv").read_text().splitlines()
+    assert lines[0] == "stage,epoch,loss" and len(lines) == 1 + 80 + 3 + 3
+
+
+@pytest.mark.slow
+def test_train_and_neural_reconstruct(pipeline, trained, tmp_path):
+    root, _ = pipeline
+    ckpt, cfg = trained
     for method, model in (("neural-unrolled", "unrolled"), ("bp-neural", "baseline")):
         r = run_cli(
             "reconstruct",
             "--config", cfg,
-            "--data", tmp_path / "sim",
-            "--dict", tmp_path / "dict",
-            "--model", tmp_path / "ckpt" / model,
+            "--data", root / "sim",
+            "--dict", root / "dict",
+            "--model", ckpt / model,
             "--method", method,
             "--out", tmp_path / f"rec_{method}",
         )
@@ -512,7 +602,19 @@ def test_dm_pgd_setting_it_cannot_honour_is_a_config_error(pipeline, tmp_path, k
 
 
 # train learns its steps from 1/lambda, so any recon.step_size is refused
-@pytest.mark.parametrize("key,value", BAD_RECON_SETTINGS[:3] + [("recon.step_size", 0.5)])
+BAD_TRAIN_SETTINGS = [
+    ("train.beta", [1.0, -0.3, 0.6]),
+    ("train.lambda", -1.0),
+    ("train.epochs", 0),
+    ("train.n_train", 0),
+    ("train.width", 0),
+    ("phantom.matrix", 4),
+]
+
+
+@pytest.mark.parametrize(
+    "key,value", BAD_RECON_SETTINGS[:3] + [("recon.step_size", 0.5)] + BAD_TRAIN_SETTINGS
+)
 def test_train_recon_setting_it_cannot_honour_is_a_config_error(pipeline, tmp_path, key, value):
     root, _ = pipeline
     cfg = write_config(tmp_path, {key: value})

@@ -95,8 +95,6 @@ def test_trace_contract(ls_problem):
         _, _, trace = pgd_reconstruct(y, op, identity_prox, cfg)
         assert len(trace.fidelity) == t + 1
         assert trace.step_sizes == [1e-6] * t
-        rows = trace.to_rows()
-        assert rows[0][0] == 0 and rows[-1][0] == t
     # no step given: every iteration takes 1/lambda of the estimator
     _, _, trace = pgd_reconstruct(y, op, identity_prox, PgdConfig(iterations=2))
     assert trace.step_sizes == [1.0 / op.estimate_operator_norm()] * 2
