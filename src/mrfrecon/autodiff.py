@@ -11,9 +11,17 @@ The acquisition enters the graph only as its normal operator N = H^H H
 is N again. Everything else stays real; complex channels are carried as
 stacked real/imaginary planes. conv2d builds no column matrix: it keeps only
 its zero-padded input on the tape and sums one small matmul per kernel tap.
+
+Pruning: a node needs a gradient if it is the leaf of a Param trainable when the
+leaf is recorded, or if a parent needs one. backward() sends gradients only into
+such nodes, and the VJPs of matmul, add, sub, mul and conv2d skip the operand
+gradients no such node takes, so constants and frozen weights cost no reverse
+work. What remains runs the same operations in the same order: bit-identical.
 """
 
 import numpy as np
+
+from .errors import TrainingFailure
 
 
 class Param:
@@ -31,17 +39,21 @@ class Param:
 
 
 class Node:
-    __slots__ = ("value", "parents", "vjp", "param")
+    __slots__ = ("value", "parents", "vjp", "param", "needs_grad")
 
     def __init__(self, value, parents=(), vjp=None, param=None):
         self.value = value
         self.parents = parents
-        self.vjp = vjp
         self.param = param
+        self.needs_grad = param.trainable if param else any(p.needs_grad for p in parents)
+        self.vjp = vjp if self.needs_grad else None
 
 
-def _unbroadcast(grad, shape):
-    """Reduce a gradient back to `shape` after numpy broadcasting."""
+def _unbroadcast(grad, node):
+    """Reduce a gradient to node's shape after numpy broadcasting; None if it needs none."""
+    if not node.needs_grad:
+        return None
+    shape = node.value.shape
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, dim in enumerate(shape):
@@ -106,13 +118,13 @@ class Tape:
 
     def add(self, a, b):
         def vjp(g):
-            return _unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)
+            return _unbroadcast(g, a), _unbroadcast(g, b)
 
         return self._record(a.value + b.value, (a, b), vjp)
 
     def sub(self, a, b):
         def vjp(g):
-            return _unbroadcast(g, a.value.shape), -_unbroadcast(g, b.value.shape)
+            return _unbroadcast(g, a), -_unbroadcast(g, b) if b.needs_grad else None
 
         return self._record(a.value - b.value, (a, b), vjp)
 
@@ -121,8 +133,8 @@ class Tape:
 
         def vjp(g):
             return (
-                _unbroadcast(g * bv, av.shape),
-                _unbroadcast(g * av, bv.shape),
+                _unbroadcast(g * bv, a) if a.needs_grad else None,
+                _unbroadcast(g * av, b) if b.needs_grad else None,
             )
 
         return self._record(av * bv, (a, b), vjp)
@@ -202,7 +214,7 @@ class Tape:
         av, bv = a.value, b.value
 
         def vjp(g):
-            return g @ bv.T, av.T @ g
+            return g @ bv.T if a.needs_grad else None, av.T @ g if b.needs_grad else None
 
         return self._record(av @ bv, (a, b), vjp)
 
@@ -220,13 +232,15 @@ class Tape:
         conv, xp = _conv_same(xv, wv)
 
         def vjp(g):
-            gext = np.pad(g, ((0, 0), (0, 0), (0, kw - 1))).reshape(cout, -1)
-            dw = np.empty(wv.shape)
-            for i, j, run in _tap_runs(xp, kh, kw, h, wd):
-                dw[:, :, i, j] = gext @ run.T
-            # the input gradient is the same convolution of g, kernel flipped and in/out swapped
-            dx = _conv_same(g, wv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))[0]
-            return dx, dw, g.sum(axis=(1, 2))
+            dx = dw = None
+            if w.needs_grad:
+                gext = np.pad(g, ((0, 0), (0, 0), (0, kw - 1))).reshape(cout, -1)
+                dw = np.empty(wv.shape)
+                for i, j, run in _tap_runs(xp, kh, kw, h, wd):
+                    dw[:, :, i, j] = gext @ run.T
+            if x.needs_grad:  # the same convolution of g, kernel flipped and in/out swapped
+                dx = _conv_same(g, wv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))[0]
+            return dx, dw, g.sum(axis=(1, 2)) if b.needs_grad else None
 
         return self._record(conv + bv[:, None, None], (x, w, b), vjp)
 
@@ -318,7 +332,8 @@ class Tape:
     # ---- reverse pass ------------------------------------------------------
 
     def backward(self, root, seed=1.0):
-        """Accumulate gradients of `root` w.r.t. every trainable Param leaf.
+        """Accumulate gradients of `root` w.r.t. every Param leaf that was
+        trainable when it was recorded.
 
         Returns {Param: grad}. Does not mutate the tape: repeated calls give
         identical results.
@@ -327,15 +342,15 @@ class Tape:
         param_grads = {}
         for node in reversed(self._nodes):
             g = grads.pop(id(node), None)
-            if g is None:
+            if g is None or not node.needs_grad:
                 continue
-            if node.param is not None and node.param.trainable:
+            if node.param is not None:
                 acc = param_grads.get(node.param)
                 param_grads[node.param] = g.copy() if acc is None else acc + g
             if node.vjp is None:
                 continue
             for parent, pg in zip(node.parents, node.vjp(g)):
-                if pg is None:
+                if pg is None or not parent.needs_grad:
                     continue
                 key = id(parent)
                 if key in grads:
@@ -347,7 +362,9 @@ class Tape:
 
 class Adam:
     """Adaptive-moment optimizer over Param objects, with the usual moment
-    decay rates and epsilon."""
+    decay rates and epsilon. The moments are one flat vector each, so a step
+    costs a few array operations; no views of p.value are kept, so callers may
+    reassign it between steps."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -355,22 +372,32 @@ class Adam:
         self.params = [p for p in params if p.trainable]
         self.lr = lr
         self.t = 0
-        self._m = {id(p): np.zeros_like(p.value) for p in self.params}
-        self._v = {id(p): np.zeros_like(p.value) for p in self.params}
+        ends = np.cumsum([0] + [p.value.size for p in self.params])
+        self._slices = [slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]  # into _m and _v
+        self._m = np.zeros(ends[-1])
+        self._v = np.zeros(ends[-1])
 
     def step(self, grads):
+        """Update each parameter that has a gradient in `grads`; the others keep
+        their values and moments. A non-finite gradient raises TrainingFailure,
+        naming the first such parameter, before any state changes."""
+        live = [(p, s) for p, s in zip(self.params, self._slices) if grads.get(p) is not None]
+        if not live:
+            self.t += 1
+            return
+        g = np.concatenate([grads[p].ravel() for p, _ in live])
+        if not np.isfinite(g).all():
+            bad = next(p for p, _ in live if not np.isfinite(grads[p]).all())
+            raise TrainingFailure(f"non-finite gradient for {bad.name}")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for p in self.params:
-            g = grads.get(p)
-            if g is None:
-                continue
-            m = self._m[id(p)]
-            v = self._v[id(p)]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            mhat = m / (1.0 - b1**self.t)
-            vhat = v / (1.0 - b2**self.t)
-            p.value -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        sel = slice(None) if len(live) == len(self.params) else np.r_[tuple(s for _, s in live)]
+        self._m[sel] *= b1
+        self._m[sel] += (1.0 - b1) * g
+        self._v[sel] *= b2
+        self._v[sel] += (1.0 - b2) * g * g
+        mhat = self._m / (1.0 - b1**self.t)
+        vhat = self._v / (1.0 - b2**self.t)
+        update = self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        for p, s in live:
+            p.value -= update[s].reshape(p.value.shape)

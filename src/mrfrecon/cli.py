@@ -222,6 +222,11 @@ def build_operator(cfg, matrix, sub):
     r = _at_least(cfg, "trajectory.r", 1)
     if r > sub.n_frames:
         raise ConfigError(f"trajectory.r={r} leaves no frames of the dictionary's {sub.n_frames}")
+    if tc["d"] is not None and tc["kind"] != "golden_radial":
+        raise ConfigError(
+            f"trajectory.d cannot be set for trajectory.kind {tc['kind']!r}: "
+            "its lines always hold the matrix size"
+        )
     d = matrix if tc["d"] is None else _at_least(cfg, "trajectory.d", 1)
     coil_maps = simulate_coil_maps(_at_least(cfg, "coils.count", 1), matrix)
     traj = make_trajectory(tc["kind"], matrix, d=d, frames=sub.n_frames)

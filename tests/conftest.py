@@ -53,3 +53,39 @@ def small_dict(short_seq):
     grid = build_dictionary(short_seq, t1, t2)
     sub = compute_subspace(grid, 5)
     return grid, sub
+
+
+class ReferenceAdam:
+    """Adam written one parameter at a time, with its own moments per
+    parameter: the oracle for the flat update in mrfrecon.autodiff.Adam."""
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr=1e-3):
+        self.params = [p for p in params if p.trainable]
+        self.lr = lr
+        self.t = 0
+        self._m = {id(p): np.zeros_like(p.value) for p in self.params}
+        self._v = {id(p): np.zeros_like(p.value) for p in self.params}
+
+    def step(self, grads):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for p in self.params:
+            g = grads.get(p)
+            if g is None:
+                continue
+            m = self._m[id(p)]
+            v = self._v[id(p)]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            mhat = m / (1.0 - b1**self.t)
+            vhat = v / (1.0 - b2**self.t)
+            p.value -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+@pytest.fixture
+def reference_adam():
+    return ReferenceAdam

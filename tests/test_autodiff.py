@@ -4,8 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from mrfrecon import autodiff
 from mrfrecon.acquisition import AcquisitionOperator, make_trajectory, simulate_coil_maps
 from mrfrecon.autodiff import Adam, Param, Tape, c2r_channels, r2c_channels
+from mrfrecon.errors import TrainingFailure
 
 
 def finite_diff(make_loss, param, h=1e-6):
@@ -347,3 +349,135 @@ def test_adam_skips_frozen():
     p = Param("p", np.ones(2), trainable=False)
     opt = Adam([p])
     assert opt.params == []
+
+
+def _adam_pair(reference_adam, seed=20):
+    """Two sets of equal Params, one for Adam and one for the per-parameter reference."""
+    rng = np.random.default_rng(seed)
+    shapes = {"a": (3, 4), "b": (5,), "c": (2, 1, 3)}
+    values = {k: rng.standard_normal(s) for k, s in shapes.items()}
+    mine = [Param(k, v.copy()) for k, v in values.items()]
+    ref = [Param(k, v.copy()) for k, v in values.items()]
+    return mine, Adam(mine, lr=0.05), ref, reference_adam(ref, lr=0.05), rng
+
+
+def test_adam_leaves_a_parameter_without_gradient_and_its_moments_alone(reference_adam):
+    mine, opt, ref, ref_opt, rng = _adam_pair(reference_adam)
+    # which parameters get a gradient at each step; step 3 gets none at all
+    present = [(0, 1, 2), (0, 2), (), (1,), (0, 1, 2), (2,)]
+    for step in present:
+        gs = [rng.standard_normal(p.value.shape) for p in mine]
+        kept = [p.value.copy() for p in mine]
+        opt.step({mine[i]: gs[i] for i in step})
+        ref_opt.step({ref[i]: gs[i] for i in step})
+        for i, (p, q) in enumerate(zip(mine, ref)):
+            npt.assert_array_equal(p.value, q.value)
+            if i not in step:
+                npt.assert_array_equal(p.value, kept[i])
+
+
+def test_adam_honours_values_reassigned_between_steps(reference_adam):
+    mine, opt, ref, ref_opt, rng = _adam_pair(reference_adam)
+    for step in range(4):
+        if step == 2:  # as a caller resetting weights between training runs does
+            fresh = rng.standard_normal(mine[1].value.shape)
+            mine[1].value, ref[1].value = fresh.copy(), fresh.copy()
+        gs = [rng.standard_normal(p.value.shape) for p in mine]
+        opt.step(dict(zip(mine, gs)))
+        ref_opt.step(dict(zip(ref, gs)))
+    for p, q in zip(mine, ref):
+        npt.assert_array_equal(p.value, q.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_adam_non_finite_gradient_names_the_parameter_and_changes_nothing(reference_adam, bad):
+    mine, opt, ref, ref_opt, rng = _adam_pair(reference_adam)
+    good = [rng.standard_normal(p.value.shape) for p in mine]
+    opt.step(dict(zip(mine, good)))
+    ref_opt.step(dict(zip(ref, good)))
+    poisoned = [g.copy() for g in good]
+    poisoned[1].ravel()[3] = bad
+    poisoned[2].ravel()[0] = bad
+    kept = [p.value.copy() for p in mine]
+    with pytest.raises(TrainingFailure, match=r"non-finite gradient for b$"):
+        opt.step(dict(zip(mine, poisoned)))
+    for p, v in zip(mine, kept):
+        npt.assert_array_equal(p.value, v)
+    # the failed step left the moments and the step count as they were
+    opt.step(dict(zip(mine, good)))
+    ref_opt.step(dict(zip(ref, good)))
+    for p, q in zip(mine, ref):
+        npt.assert_array_equal(p.value, q.value)
+
+
+def _pruning_graph(tape, leaf):
+    """A graph through conv2d, mul, sub, add and matmul; leaf(name) gives its inputs."""
+    h = tape.leaky_relu(tape.conv2d(leaf("x"), leaf("w"), leaf("b")))
+    h = tape.sub(tape.mul(h, leaf("gain")), leaf("offset"))
+    h = tape.matmul(leaf("mix"), tape.matmul(tape.reshape(h, (3, 25)), leaf("proj")))
+    return tape.mse(tape.add(h, leaf("bias")), np.ones((2, 4)))
+
+
+@pytest.mark.parametrize(
+    "constants, trainable",
+    [
+        (("x", "gain", "offset", "mix"), ("w", "bias")),
+        (("x", "offset", "mix"), ("gain", "proj")),
+        (("gain", "offset"), ("x", "mix")),
+    ],
+)
+def test_pruned_gradients_equal_the_gradients_of_a_fully_trainable_graph(constants, trainable):
+    # every input that is neither a constant nor trainable is a frozen leaf
+    rng = np.random.default_rng(21)
+    shapes = {
+        "x": (2, 5, 5), "w": (3, 2, 3, 3), "b": (3,), "gain": (3, 1, 1),
+        "offset": (1, 5, 5), "proj": (25, 4), "mix": (2, 3), "bias": (4,),
+    }
+    values = {k: rng.standard_normal(s) for k, s in shapes.items()}
+
+    def grads_of(constants, trainable):
+        params = {k: Param(k, v, trainable=k in trainable) for k, v in values.items()}
+        tape = Tape()
+
+        def leaf(name):
+            return tape.constant(values[name]) if name in constants else tape.leaf(params[name])
+
+        grads = tape.backward(_pruning_graph(tape, leaf))
+        return {p.name: g for p, g in grads.items()}
+
+    pruned = grads_of(constants, trainable)
+    full = grads_of((), set(values))
+    assert set(pruned) == set(trainable)
+    for name, g in pruned.items():
+        npt.assert_array_equal(g, full[name])
+
+
+def test_backward_of_a_graph_without_trainable_leaves_is_empty():
+    tape = Tape()
+    frozen = Param("frozen", np.ones(3), trainable=False)
+    loss = tape.mse(tape.mul(tape.leaf(frozen), tape.constant(np.arange(3.0))), np.zeros(3))
+    assert not loss.needs_grad
+    assert tape.backward(loss) == {}
+
+
+@pytest.mark.parametrize("x_trainable", [False, True])
+def test_conv2d_on_a_constant_input_runs_no_input_gradient_convolution(monkeypatch, x_trainable):
+    calls = []
+    real = autodiff._conv_same
+
+    def spy(x, wv):
+        calls.append(x.shape)
+        return real(x, wv)
+
+    monkeypatch.setattr(autodiff, "_conv_same", spy)
+    rng = np.random.default_rng(22)
+    x = rng.standard_normal((2, 6, 6))
+    w = Param("w", rng.standard_normal((3, 2, 3, 3)))
+    b = Param("b", np.zeros(3))
+    tape = Tape()
+    xn = tape.leaf(Param("x", x)) if x_trainable else tape.constant(x)
+    out = tape.conv2d(xn, tape.leaf(w), tape.leaf(b))
+    grads = tape.backward(out, seed=np.ones((3, 6, 6)))
+    assert calls[0] == (2, 6, 6)  # the forward convolution
+    assert len(calls) == (2 if x_trainable else 1)
+    assert set(grads) >= {w, b}

@@ -195,6 +195,8 @@ def test_invalid_grid_exit_code_names_field(tmp_path):
     "command, key, value",
     [
         ("simulate", "trajectory.d", 0),
+        ("simulate", "trajectory.kind", "cartesian_lines"),
+        ("simulate", "trajectory.kind", "cartesian_full"),
         ("simulate", "trajectory.r", 1000),  # the dictionary has 40 frames
         ("simulate", "noise.sigma", -1.0),
         ("simulate", "epg.k_max", 1),
@@ -210,6 +212,8 @@ def test_simulate_or_build_dict_setting_it_cannot_honour_is_a_config_error(
     r = run_cli(command, "--config", cfg, *dict_arg, "--out", tmp_path / "out")
     assert r.returncode == 2, r.stderr
     assert key in r.stderr
+    if key == "trajectory.kind":  # a Cartesian kind fixes d, which the config sets
+        assert "trajectory.d" in r.stderr
     assert not (tmp_path / "out").exists()
 
 

@@ -310,6 +310,28 @@ def test_pretrain_encoder_runs_and_descends():
     assert hist[-1] < hist[0]
 
 
+def test_non_finite_gradient_stops_training_naming_a_parameter_before_any_update():
+    op = tiny_operator(seed=12, coils=2)
+    enc = EncoderNet(s=2, width=4, seed=12)
+    rng = np.random.default_rng(12)
+    y = rng.standard_normal(op.kspace_shape) + 1j * rng.standard_normal(op.kspace_shape)
+    pd = rng.uniform(0.2, 1.0, (8, 8))
+    pd[3, 4] = np.inf  # a corrupt target makes every gradient non-finite
+    truth = QMaps(
+        t1_ms=rng.uniform(300, 2500, (8, 8)),
+        t2_ms=rng.uniform(30, 400, (8, 8)),
+        pd=pd,
+        mask=np.ones((8, 8), bool),
+    )
+    before = [p.value.copy() for p in enc.parameters()]
+    with np.errstate(invalid="ignore"), pytest.raises(
+        TrainingFailure, match=r"non-finite gradient for enc_\w+"
+    ):
+        pretrain_encoder([(y, truth)], op, enc, TrainConfig(epochs=2, seed=0))
+    for p, v in zip(enc.parameters(), before):
+        npt.assert_array_equal(p.value, v)
+
+
 def test_decoder_pretraining_small_dictionary(short_seq):
     t1 = np.geomspace(150.0, 3000.0, 12)
     t2 = np.geomspace(15.0, 400.0, 10)
@@ -344,6 +366,49 @@ def test_decoder_pretraining_simulates_at_the_given_k_max(small_dict, monkeypatc
         grid, sub, epochs=1, seed=0, n_offgrid=20, val_size=10, threshold=np.inf, k_max=17
     )
     assert seen == [17, 17]  # off-grid training and validation targets
+
+
+def test_decoder_pretraining_equals_the_unpruned_reference_loop(small_dict, reference_adam):
+    grid, sub = small_dict
+    epochs, seed, n_offgrid, val_size, hidden = 3, 4, 300, 20, 8
+    decoder, history = pretrain_bloch_decoder(
+        grid, sub, epochs=epochs, seed=seed, n_offgrid=n_offgrid, val_size=val_size,
+        threshold=np.inf, hidden=hidden,
+    )
+
+    # the loop as it was before the features were hoisted: decoder.apply on
+    # constant T1/T2 every step, and one Adam update per parameter
+    rng = np.random.default_rng(seed)
+    t1r = (float(grid.t1_values_ms[0]), float(grid.t1_values_ms[-1]))
+    t2r = (float(grid.t2_values_ms[0]), float(grid.t2_values_ms[-1]))
+    catoms = (grid.atoms * grid.atom_norms[:, None]) @ sub.basis.conj()
+    t1_off, t2_off = neuralprox._sample_offgrid_pairs(rng, n_offgrid, t1r, t2r)
+    off_targets = neuralprox.compressed_response_targets(grid.seq, sub, t1_off, t2_off)
+    targets = np.concatenate([np.concatenate([catoms.real, catoms.imag], axis=1), off_targets])
+    t1_all = np.concatenate([grid.atom_t1_ms, t1_off])
+    t2_all = np.concatenate([grid.atom_t2_ms, t2_off])
+    neuralprox._sample_offgrid_pairs(rng, val_size, t1r, t2r)  # validation pairs come next
+    ref = BlochDecoderNet(sub.s, hidden=hidden, seed=seed)
+    ref.output_scale = float(np.sqrt(np.mean(targets**2)) * 2.0)
+    opt = reference_adam(ref.parameters(), lr=1e-3)
+    n, batch = t1_all.shape[0], neuralprox.DECODER_BATCH
+    assert n > batch  # every epoch ends on a partial batch
+    ref_history = []
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for lo in range(0, n, batch):
+            sel = order[lo : lo + batch]
+            tape = Tape()
+            pred = ref.apply(tape, tape.constant(t1_all[sel]), tape.constant(t2_all[sel]))
+            loss = tape.mse(pred, targets[sel])
+            opt.step(tape.backward(loss))
+            total += float(loss.value) * sel.size
+        ref_history.append(total / n)
+
+    npt.assert_array_equal(history, ref_history)
+    for p, q in zip(decoder.parameters(), ref.parameters()):
+        npt.assert_array_equal(p.value, q.value)
 
 
 def test_decoder_pretraining_failure_raises(short_seq):
