@@ -1,22 +1,34 @@
 """Compact reverse-mode automatic differentiation over float64 arrays.
 
-Every operation executed through a Tape records the node, its parents, and a
-vector-Jacobian closure over the saved activations. backward() replays the
-recorded list in exact reverse order (recording order is topological), so
-gradients accumulate additively at fan-out and parameters reached through
-several leaves (weight sharing across unrolled iterations) sum up naturally.
+Every operation executed through a Tape returns a Node to the caller, and
+backward() replays the tape's records in exact reverse order (recording order
+is topological), so gradients accumulate additively at fan-out and parameters
+reached through several leaves (weight sharing across unrolled iterations) sum
+up naturally.
+
+What the tape keeps and what callers hold: a Node carries the forward value and
+a link to its record. The tape keeps a record only for a node that needs a
+gradient, i.e. the leaf of a Param trainable when the leaf is recorded, or a
+node with a parent that needs one. A record holds its parents' records (None
+for a parent that needs no gradient), its Param and its vector-Jacobian closure,
+and the closure captures flags, shapes and only the arrays it reads: matmul
+keeps its input only if the weight gradient is taken and the weights only if the
+input gradient is, conv2d likewise its zero-padded input and its kernel, and
+leaky_relu a boolean mask. No record or closure holds a Node, so a forward value
+that no VJP reads is freed as soon as the caller drops its Node, and a step's
+graph is freed with its Tape. Tape(grad=False) is the inference tape: it keeps no
+records and no VJPs at all.
+
+backward() sends gradients only into nodes that need one, and the VJPs skip the
+operand gradients no such node takes, so constants and frozen weights cost no
+reverse work. What remains runs the same operations in the same order:
+bit-identical.
 
 The acquisition enters the graph only as its normal operator N = H^H H
 (apply_normal): complex-linear and self-adjoint, so its vector-Jacobian product
 is N again. Everything else stays real; complex channels are carried as
-stacked real/imaginary planes. conv2d builds no column matrix: it keeps only
-its zero-padded input on the tape and sums one small matmul per kernel tap.
-
-Pruning: a node needs a gradient if it is the leaf of a Param trainable when the
-leaf is recorded, or if a parent needs one. backward() sends gradients only into
-such nodes, and the VJPs of matmul, add, sub, mul and conv2d skip the operand
-gradients no such node takes, so constants and frozen weights cost no reverse
-work. What remains runs the same operations in the same order: bit-identical.
+stacked real/imaginary planes. conv2d builds no column matrix: it sums one small
+matmul per kernel tap.
 """
 
 import numpy as np
@@ -39,21 +51,40 @@ class Param:
 
 
 class Node:
-    __slots__ = ("value", "parents", "vjp", "param", "needs_grad")
+    """What a caller holds: the forward value and the node's record on the tape,
+    None when the node needs no gradient."""
 
-    def __init__(self, value, parents=(), vjp=None, param=None):
+    __slots__ = ("value", "record")
+
+    def __init__(self, value, record):
         self.value = value
+        self.record = record
+
+    @property
+    def needs_grad(self):
+        return self.record is not None
+
+
+class _Record:
+    """What the tape keeps of a node that needs a gradient."""
+
+    __slots__ = ("parents", "vjp", "param")
+
+    def __init__(self, parents, vjp, param):
         self.parents = parents
+        self.vjp = vjp
         self.param = param
-        self.needs_grad = param.trainable if param else any(p.needs_grad for p in parents)
-        self.vjp = vjp if self.needs_grad else None
 
 
-def _unbroadcast(grad, node):
-    """Reduce a gradient to node's shape after numpy broadcasting; None if it needs none."""
-    if not node.needs_grad:
+def _grad_shape(node):
+    """The shape of the gradient into node; None if it takes none."""
+    return node.value.shape if node.record is not None else None
+
+
+def _unbroadcast(grad, shape):
+    """Reduce a gradient to `shape` after numpy broadcasting; None if shape is None."""
+    if shape is None:
         return None
-    shape = node.value.shape
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, dim in enumerate(shape):
@@ -96,15 +127,26 @@ def _conv_same(x, wv):
 
 
 class Tape:
-    """Operation recorder for one forward pass."""
+    """Operation recorder for one forward pass; with grad=False it records
+    nothing, for inference."""
 
-    def __init__(self):
-        self._nodes = []
+    def __init__(self, grad=True):
+        self.grad = grad
+        self._records = []
 
     def _record(self, value, parents=(), vjp=None, param=None):
-        node = Node(np.asarray(value, dtype=np.float64), tuple(parents), vjp, param)
-        self._nodes.append(node)
-        return node
+        value = np.asarray(value, dtype=np.float64)
+        if param is not None:
+            if not (self.grad and param.trainable):
+                return Node(value, None)
+            record = _Record((), None, param)
+        else:
+            records = tuple([p.record for p in parents])
+            if not any(records):
+                return Node(value, None)
+            record = _Record(records, vjp, None)
+        self._records.append(record)
+        return Node(value, record)
 
     # ---- leaves ------------------------------------------------------------
 
@@ -117,24 +159,32 @@ class Tape:
     # ---- arithmetic --------------------------------------------------------
 
     def add(self, a, b):
+        sa, sb = _grad_shape(a), _grad_shape(b)
+
         def vjp(g):
-            return _unbroadcast(g, a), _unbroadcast(g, b)
+            return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
         return self._record(a.value + b.value, (a, b), vjp)
 
     def sub(self, a, b):
+        sa, sb = _grad_shape(a), _grad_shape(b)
+
         def vjp(g):
-            return _unbroadcast(g, a), -_unbroadcast(g, b) if b.needs_grad else None
+            return _unbroadcast(g, sa), -_unbroadcast(g, sb) if sb is not None else None
 
         return self._record(a.value - b.value, (a, b), vjp)
 
     def mul(self, a, b):
         av, bv = a.value, b.value
+        sa, sb = _grad_shape(a), _grad_shape(b)
+        # each operand's gradient reads the other operand
+        for_a = bv if sa is not None else None
+        for_b = av if sb is not None else None
 
         def vjp(g):
             return (
-                _unbroadcast(g * bv, a) if a.needs_grad else None,
-                _unbroadcast(g * av, b) if b.needs_grad else None,
+                _unbroadcast(g * for_a, sa) if sa is not None else None,
+                _unbroadcast(g * for_b, sb) if sb is not None else None,
             )
 
         return self._record(av * bv, (a, b), vjp)
@@ -196,31 +246,37 @@ class Tape:
         def vjp(g):
             return (g * span,)
 
-        shifted = self._record(s.value * span + lo, (s,), vjp)
-        return shifted
+        return self._record(s.value * span + lo, (s,), vjp)
 
     def leaky_relu(self, a, slope=0.01):
         av = a.value
-        gate = np.where(av >= 0.0, 1.0, slope)
+        mask = av >= 0.0
+        gains = np.array([slope, 1.0])  # gains.take(mask): the local slope (faster than np.where)
 
         def vjp(g):
-            return (g * gate,)
+            return (g * gains.take(mask),)
 
-        return self._record(av * gate, (a,), vjp)
+        return self._record(av * gains.take(mask), (a,), vjp)
 
     # ---- linear algebra ----------------------------------------------------
 
     def matmul(self, a, b):
         av, bv = a.value, b.value
+        # dx = g @ b^T reads the weights, dW = a^T @ g the input
+        for_a = bv if a.needs_grad else None
+        for_b = av if b.needs_grad else None
 
         def vjp(g):
-            return g @ bv.T if a.needs_grad else None, av.T @ g if b.needs_grad else None
+            return (
+                g @ for_a.T if for_a is not None else None,
+                for_b.T @ g if for_b is not None else None,
+            )
 
         return self._record(av @ bv, (a, b), vjp)
 
     def conv2d(self, x, w, b):
         """'Same' 2-D convolution: x (Cin,H,W), w (Cout,Cin,kh,kw), odd kh and kw, b (Cout,)."""
-        xv, wv, bv = x.value, w.value, b.value
+        xv, wv = x.value, w.value
         cout, cin, kh, kw = wv.shape
         if kh % 2 == 0 or kw % 2 == 0:
             raise ValueError(f"conv2d needs an odd kernel for 'same' padding; w is {wv.shape}")
@@ -230,19 +286,24 @@ class Tape:
             )
         h, wd = xv.shape[1:]
         conv, xp = _conv_same(xv, wv)
+        out = conv + b.value[:, None, None]
+        # dw reads the padded input, dx the kernel
+        xp = xp if w.needs_grad else None
+        flipped = wv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3) if x.needs_grad else None
+        b_grad = b.needs_grad
 
         def vjp(g):
             dx = dw = None
-            if w.needs_grad:
+            if xp is not None:
                 gext = np.pad(g, ((0, 0), (0, 0), (0, kw - 1))).reshape(cout, -1)
-                dw = np.empty(wv.shape)
+                dw = np.empty((cout, cin, kh, kw))
                 for i, j, run in _tap_runs(xp, kh, kw, h, wd):
                     dw[:, :, i, j] = gext @ run.T
-            if x.needs_grad:  # the same convolution of g, kernel flipped and in/out swapped
-                dx = _conv_same(g, wv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))[0]
-            return dx, dw, g.sum(axis=(1, 2)) if b.needs_grad else None
+            if flipped is not None:  # the same convolution of g, kernel flipped and in/out swapped
+                dx = _conv_same(g, flipped)[0]
+            return dx, dw, g.sum(axis=(1, 2)) if b_grad else None
 
-        return self._record(conv + bv[:, None, None], (x, w, b), vjp)
+        return self._record(out, (x, w, b), vjp)
 
     # ---- shape plumbing ------------------------------------------------------
 
@@ -313,9 +374,14 @@ class Tape:
     def vdot(self, a, b):
         """Real inner product sum(a * b) of two equal-shape nodes."""
         av, bv = a.value, b.value
+        for_a = bv if a.needs_grad else None
+        for_b = av if b.needs_grad else None
 
         def vjp(g):
-            return g * bv, g * av
+            return (
+                g * for_a if for_a is not None else None,
+                g * for_b if for_b is not None else None,
+            )
 
         return self._record(np.array(np.vdot(av, bv)), (a, b), vjp)
 
@@ -338,25 +404,27 @@ class Tape:
         Returns {Param: grad}. Does not mutate the tape: repeated calls give
         identical results.
         """
-        grads = {id(root): np.broadcast_to(np.asarray(seed, dtype=np.float64), root.value.shape).copy()}
+        if root.record is None:
+            return {}
+        seed = np.broadcast_to(np.asarray(seed, dtype=np.float64), root.value.shape).copy()
+        grads = {root.record: seed}
         param_grads = {}
-        for node in reversed(self._nodes):
-            g = grads.pop(id(node), None)
-            if g is None or not node.needs_grad:
+        for record in reversed(self._records):
+            g = grads.pop(record, None)
+            if g is None:
                 continue
-            if node.param is not None:
-                acc = param_grads.get(node.param)
-                param_grads[node.param] = g.copy() if acc is None else acc + g
-            if node.vjp is None:
+            if record.param is not None:
+                acc = param_grads.get(record.param)
+                param_grads[record.param] = g.copy() if acc is None else acc + g
+            if record.vjp is None:
                 continue
-            for parent, pg in zip(node.parents, node.vjp(g)):
-                if pg is None or not parent.needs_grad:
+            for parent, pg in zip(record.parents, record.vjp(g)):
+                if pg is None or parent is None:
                     continue
-                key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + pg
+                if parent in grads:
+                    grads[parent] = grads[parent] + pg
                 else:
-                    grads[key] = pg
+                    grads[parent] = pg
         return param_grads
 
 

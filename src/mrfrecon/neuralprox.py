@@ -115,7 +115,7 @@ class EncoderNet:
 
     def predict_maps(self, tsmi):
         """Inference path: complex (s, H, W) TSMI -> QMaps."""
-        tape = Tape()
+        tape = Tape(grad=False)
         x = tape.constant(c2r_channels(np.asarray(tsmi)))
         return _stacked_maps(self.apply(tape, x).value)
 
@@ -178,7 +178,7 @@ class BlochDecoderNet:
 
     def predict(self, t1_ms, t2_ms):
         """Plain-array inference: (n,) arrays -> (n, 2s) float array."""
-        tape = Tape()
+        tape = Tape(grad=False)
         t1 = tape.constant(np.asarray(t1_ms, dtype=float))
         t2 = tape.constant(np.asarray(t2_ms, dtype=float))
         return self.apply(tape, t1, t2).value
@@ -212,7 +212,7 @@ class UnrolledModel:
         """Prox callable for the numpy PGD engine."""
 
         def prox(g):
-            tape = Tape()
+            tape = Tape(grad=False)
             g_node = tape.constant(c2r_channels(np.asarray(g)))
             x_node, m_node = prox_nodes(tape, self.encoder, self.decoder, g_node)
             return r2c_channels(x_node.value), _stacked_maps(m_node.value)
@@ -290,6 +290,16 @@ def unrolled_loss_nodes(tape, model, y, op, x0, truth, cfg, constants=None):
     return loss, m
 
 
+def _step(opt, loss_of, *args):
+    """One Adam step on a fresh tape, where loss_of(tape, *args) records the
+    loss node; returns the loss. The step's graph is freed on return, so it is
+    gone before the caller records the next one."""
+    tape = Tape()
+    loss = loss_of(tape, *args)
+    opt.step(tape.backward(loss))
+    return float(loss.value)
+
+
 def _epoch_losses(samples, params, cfg, loss_of):
     """Adam on `params` over cfg.epochs shuffled passes; yields each epoch's
     mean loss. loss_of(tape, *sample) records one sample's loss node."""
@@ -298,10 +308,7 @@ def _epoch_losses(samples, params, cfg, loss_of):
     for _ in range(cfg.epochs):
         total = 0.0
         for idx in rng.permutation(len(samples)):
-            tape = Tape()
-            loss = loss_of(tape, *samples[idx])
-            opt.step(tape.backward(loss))
-            total += float(loss.value)
+            total += _step(opt, loss_of, *samples[idx])
         yield total / len(samples)
 
 
@@ -424,8 +431,12 @@ def pretrain_bloch_decoder(
     decoder.output_scale = float(np.sqrt(np.mean(targets**2)) * 2.0)
     opt = Adam(decoder.parameters(), lr=lr)
     # the features of every pair, once: each step records only the MLP
-    tape = Tape()
+    tape = Tape(grad=False)
     feats = decoder.features(tape, tape.constant(t1_all), tape.constant(t2_all)).value
+
+    def batch_loss(tape, sel):
+        return tape.mse(decoder.mlp(tape, tape.constant(feats[sel])), targets[sel])
+
     n = t1_all.shape[0]
     history = []
     for _ in range(epochs):
@@ -433,10 +444,7 @@ def pretrain_bloch_decoder(
         total = 0.0
         for lo in range(0, n, DECODER_BATCH):
             sel = order[lo : lo + DECODER_BATCH]
-            tape = Tape()
-            loss = tape.mse(decoder.mlp(tape, tape.constant(feats[sel])), targets[sel])
-            opt.step(tape.backward(loss))
-            total += float(loss.value) * sel.size
+            total += _step(opt, batch_loss, sel) * sel.size
         history.append(total / n)
 
     err = decoder_validation_error(decoder, val_t1, val_t2, val_targets)

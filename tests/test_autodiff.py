@@ -1,4 +1,7 @@
+import inspect
+import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -481,3 +484,172 @@ def test_conv2d_on_a_constant_input_runs_no_input_gradient_convolution(monkeypat
     assert calls[0] == (2, 6, 6)  # the forward convolution
     assert len(calls) == (2 if x_trainable else 1)
     assert set(grads) >= {w, b}
+
+
+# ---------------------------------------------------------------------------
+# what the tape keeps: records, flags, shapes and only the arrays a VJP reads
+
+
+def test_inference_tape_keeps_no_records():
+    rng = np.random.default_rng(23)
+    w = Param("w", rng.standard_normal((3, 2, 3, 3)))
+    b = Param("b", rng.standard_normal(3))
+    x = rng.standard_normal((2, 5, 5))
+    recorded, inferred = Tape(), Tape(grad=False)
+    outs = [
+        t.leaky_relu(t.conv2d(t.constant(x), t.leaf(w), t.leaf(b))) for t in (recorded, inferred)
+    ]
+    npt.assert_array_equal(outs[1].value, outs[0].value)
+    assert outs[0].needs_grad and not outs[1].needs_grad
+    assert inferred._records == [] and inferred.backward(outs[1]) == {}
+
+
+def _closure_arrays(record):
+    cells = [c.cell_contents for c in record.vjp.__closure__]
+    return [c for c in cells if isinstance(c, np.ndarray)]
+
+
+def test_leaky_relu_saves_a_boolean_mask():
+    tape = Tape()
+    p = Param("p", np.array([[-2.0, -0.0, 0.0, 3.0]]))
+    out = tape.leaky_relu(tape.leaf(p), slope=0.1)
+    npt.assert_array_equal(out.value, [[-0.2, -0.0, 0.0, 3.0]])
+    saved = [c for c in _closure_arrays(tape._records[-1]) if c.size == 4]
+    assert len(saved) == 1 and saved[0].dtype == bool
+    npt.assert_array_equal(tape.backward(out, seed=np.full((1, 4), 2.0))[p], [[0.2, 2.0, 2.0, 2.0]])
+
+
+@pytest.mark.parametrize("a_grad, b_grad", [(True, False), (False, True), (True, True)])
+def test_matmul_keeps_each_operand_only_for_the_gradient_that_reads_it(a_grad, b_grad):
+    rng = np.random.default_rng(24)
+    a = Param("a", rng.standard_normal((4, 3)), trainable=a_grad)
+    b = Param("b", rng.standard_normal((3, 5)), trainable=b_grad)
+    tape = Tape()
+    tape.matmul(tape.leaf(a), tape.leaf(b))
+    kept = _closure_arrays(tape._records[-1])
+    assert any(k is b.value for k in kept) == a_grad  # dx = g @ b^T
+    assert any(k is a.value for k in kept) == b_grad  # dW = a^T @ g
+
+
+@pytest.mark.parametrize("x_grad, w_grad", [(True, False), (False, True), (True, True)])
+def test_conv2d_keeps_its_padded_input_only_for_dw_and_its_kernel_only_for_dx(x_grad, w_grad):
+    rng = np.random.default_rng(25)
+    x = Param("x", rng.standard_normal((2, 5, 5)), trainable=x_grad)
+    w = Param("w", rng.standard_normal((3, 2, 3, 3)), trainable=w_grad)
+    tape = Tape()
+    tape.conv2d(tape.leaf(x), tape.leaf(w), tape.constant(np.zeros(3)))
+    kept = _closure_arrays(tape._records[-1])
+    assert any(k.shape == (2, 8 * 7) for k in kept) == w_grad  # flat padded input, spare row
+    assert any(np.shares_memory(k, w.value) for k in kept) == x_grad
+    assert not any(np.shares_memory(k, x.value) for k in kept)
+
+
+@pytest.mark.parametrize("consumer", ["add", "leaky_relu", "frozen_matmul"])
+def test_a_value_no_vjp_reads_is_freed_when_its_node_is_dropped(consumer):
+    rng = np.random.default_rng(26)
+    w = Param("w", rng.standard_normal((4, 4)))
+    frozen = Param("frozen", rng.standard_normal((4, 4)), trainable=False)
+    tape = Tape()
+    # a needs-grad intermediate whose value only the next op reads, in the forward pass
+    h = tape.matmul(tape.constant(rng.standard_normal((3, 4))), tape.leaf(w))
+    ref = weakref.ref(h.value)
+    if consumer == "add":
+        out = tape.add(h, tape.constant(np.ones(4)))
+    elif consumer == "leaky_relu":
+        out = tape.leaky_relu(h)
+    else:
+        out = tape.matmul(h, tape.leaf(frozen))
+    del h
+    assert ref() is None
+    grads = tape.backward(tape.mse(out, np.zeros(out.value.shape)))
+    assert set(grads) == {w}
+
+
+def test_a_value_a_vjp_reads_lives_on_with_the_tape():
+    p = Param("p", np.linspace(-1.0, 1.0, 6))
+    tape = Tape()
+    h = tape.tanh(tape.leaf(p))  # its VJP reads its own output
+    ref = weakref.ref(h.value)
+    loss = tape.mse(h, np.zeros(6))
+    del h
+    assert ref() is not None
+    grads = tape.backward(loss)
+    del tape, loss, grads
+    assert ref() is None
+
+
+class _Identity:
+    """A stand-in acquisition whose normal operator is the identity."""
+
+    def normal(self, z):
+        return z.copy()
+
+
+# op -> (operand shapes, call); every public Tape op that records a node has a case
+OP_CASES = {
+    "constant": ([], lambda t: t.constant(np.ones(3))),
+    "leaf": ([], lambda t: t.leaf(Param("p", np.ones(3)))),
+    "add": ([(3, 4), (1, 4)], lambda t, a, b: t.add(a, b)),
+    "sub": ([(3, 4), (3, 1)], lambda t, a, b: t.sub(a, b)),
+    "mul": ([(2, 3, 3), (2, 1, 1)], lambda t, a, b: t.mul(a, b)),
+    "scale": ([(3,)], lambda t, a: t.scale(a, 2.0)),
+    "exp": ([(3,)], lambda t, a: t.exp(a)),
+    "log": ([(3,)], lambda t, a: t.log(t.exp(a))),
+    "tanh": ([(3,)], lambda t, a: t.tanh(a)),
+    "sigmoid": ([(3,)], lambda t, a: t.sigmoid(a)),
+    "scaled_sigmoid": ([(3,)], lambda t, a: t.scaled_sigmoid(a, 1.0, 5.0)),
+    "leaky_relu": ([(3,)], lambda t, a: t.leaky_relu(a)),
+    "matmul": ([(2, 3), (3, 4)], lambda t, a, b: t.matmul(a, b)),
+    "conv2d": ([(2, 5, 5), (3, 2, 3, 3), (3,)], lambda t, x, w, b: t.conv2d(x, w, b)),
+    "reshape": ([(2, 3)], lambda t, a: t.reshape(a, (6,))),
+    "transpose2d": ([(2, 3)], lambda t, a: t.transpose2d(a)),
+    "concat": ([(2, 3), (1, 3)], lambda t, a, b: t.concat([a, b])),
+    "slice_axis0": ([(4, 2)], lambda t, a: t.slice_axis0(a, 1, 3)),
+    "spatial_mean": ([(2, 3, 3)], lambda t, a: t.spatial_mean(a)),
+    "mse": ([(3,)], lambda t, a: t.mse(a, np.ones(3))),
+    "weighted_sum": ([(), ()], lambda t, a, b: t.weighted_sum([a, b], [0.5, 2.0])),
+    "vdot": ([(2, 3), (2, 3)], lambda t, a, b: t.vdot(a, b)),
+    "apply_normal": ([(2, 3, 3)], lambda t, a: t.apply_normal(a, _Identity())),
+}
+
+
+def _held_objects(obj):
+    """obj and, recursively, the items of the containers it is."""
+    yield obj
+    if isinstance(obj, (tuple, list, set, frozenset)):
+        for item in obj:
+            yield from _held_objects(item)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _held_objects(item)
+
+
+def test_every_public_tape_op_has_a_closure_guard_case():
+    ops = {
+        name
+        for name, fn in vars(Tape).items()
+        if inspect.isfunction(fn) and not name.startswith("_") and name != "backward"
+    }
+    assert ops == set(OP_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(OP_CASES))
+def test_no_vjp_closure_holds_a_node_or_a_tape(name):
+    # a Node in a closure would pin its forward value for as long as the tape lives
+    shapes, call = OP_CASES[name]
+    rng = np.random.default_rng(27)
+    for grads in itertools.product((True, False), repeat=len(shapes)):
+        tape = Tape()
+        operands = [
+            tape.leaf(Param(f"p{i}", rng.uniform(0.5, 1.5, shape))) if grad
+            else tape.constant(rng.uniform(0.5, 1.5, shape))
+            for i, (shape, grad) in enumerate(zip(shapes, grads))
+        ]
+        out = call(tape, *operands)
+        assert isinstance(out.value, np.ndarray)
+        assert out.needs_grad == (any(grads) or name == "leaf")
+        for record in tape._records:
+            assert all(p is None or isinstance(p, autodiff._Record) for p in record.parents)
+            cells = [c.cell_contents for c in (record.vjp.__closure__ or ())] if record.vjp else []
+            held = [o for c in cells for o in _held_objects(c)]
+            assert not any(isinstance(o, (autodiff.Node, Tape)) for o in held), (name, grads)

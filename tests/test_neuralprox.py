@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -6,7 +7,7 @@ import pytest
 
 from mrfrecon import neuralprox
 from mrfrecon.acquisition import AcquisitionOperator, make_trajectory, simulate_coil_maps
-from mrfrecon.autodiff import Tape, c2r_channels
+from mrfrecon.autodiff import Tape, c2r_channels, r2c_channels
 from mrfrecon.dictionary import build_dictionary, compute_subspace
 from mrfrecon.epg import SequenceParams, sinusoidal_flip_schedule
 from mrfrecon.errors import TrainingFailure
@@ -110,6 +111,55 @@ def test_prox_output_bounds_and_mask():
     assert np.all(maps.mask)
     assert maps.t1_ms.min() >= T1_BOUNDS_MS[0]
     assert maps.t2_ms.max() <= T2_BOUNDS_MS[1]
+
+
+def test_inference_prox_equals_the_prox_recorded_for_training_bit_for_bit():
+    model = tiny_model(seed=12)
+    rng = np.random.default_rng(12)
+    g = rng.standard_normal((2, 8, 8)) + 1j * rng.standard_normal((2, 8, 8))
+    x, maps = model.make_prox()(g)
+    tape = Tape()
+    x_node, m_node = prox_nodes(tape, model.encoder, model.decoder, tape.constant(c2r_channels(g)))
+    assert x_node.needs_grad and m_node.needs_grad  # the encoder weights are trainable
+    npt.assert_array_equal(x, r2c_channels(x_node.value))
+    predicted = model.encoder.predict_maps(g)
+    for got in (maps, predicted):
+        for plane, ref in zip((got.t1_ms, got.t2_ms, got.pd), m_node.value):
+            npt.assert_array_equal(plane, ref)
+
+
+def test_a_training_epoch_keeps_one_step_graph_alive_at_a_time():
+    # the previous step's graph is freed before the next step records its own,
+    # so the peak of an epoch over two samples is about that over one
+    n = 16
+    op = tiny_operator(seed=13, n=n)
+    lam = op.estimate_operator_norm(iters=20)
+    rng = np.random.default_rng(13)
+    dataset = [
+        (
+            rng.standard_normal(op.kspace_shape) + 1j * rng.standard_normal(op.kspace_shape),
+            QMaps(
+                t1_ms=rng.uniform(300, 2000, (n, n)),
+                t2_ms=rng.uniform(30, 200, (n, n)),
+                pd=rng.uniform(0.2, 1.0, (n, n)),
+                mask=np.ones((n, n), bool),
+            ),
+        )
+        for _ in range(2)
+    ]
+
+    def epoch_peak(samples):
+        model = tiny_model(seed=13, iterations=3, width=8, hidden=16)
+        model.log_alpha.value[:] = np.log(0.5 / lam)
+        tracemalloc.start()
+        try:
+            train_unrolled(samples, op, model, TrainConfig(epochs=1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    epoch_peak(dataset)  # warm-up: caches and lazily built state
+    assert epoch_peak(dataset) <= 1.2 * epoch_peak(dataset[:1])
 
 
 def test_parameter_count_independent_of_iterations():
