@@ -22,12 +22,13 @@ import scipy
 
 from . import __version__, nufft
 from .acquisition import (
+    TRAJECTORY_KINDS,
     AcquisitionOperator,
     make_trajectory,
     simulate_coil_maps,
     truncate_acceleration,
 )
-from .dictionary import build_dictionary, compute_subspace
+from .dictionary import build_dictionary, compute_subspace, valid_pairs
 from .epg import SequenceParams, load_flip_schedule_csv, sinusoidal_flip_schedule
 from .errors import ConfigError
 from .neuralprox import (
@@ -46,7 +47,6 @@ from .phantom import (
     metrics_rows,
     random_regions,
     simulate_measurements,
-    snap_regions_to_grid,
 )
 from .recon import (
     PgdConfig,
@@ -74,25 +74,18 @@ DEFAULT_CONFIG = {
         "te_ms": 1.8,
         "ti_ms": 18.0,
         "invert_first": True,
-        "flip_schedule": "sinusoidal",
         "flip_csv": None,
     },
     "grid": {
-        "t1": {"min": 100.0, "max": 4000.0, "count": 60, "spacing": "log"},
-        "t2": {"min": 10.0, "max": 600.0, "count": 50, "spacing": "log"},
+        "t1": {"min": 100.0, "max": 4000.0, "count": 60},
+        "t2": {"min": 10.0, "max": 600.0, "count": 50},
     },
     "subspace": {"s": 10},
     "trajectory": {"kind": "golden_radial", "d": None, "r": 10},
     "coils": {"count": 8},
-    "phantom": {
-        "preset": "default",
-        "matrix": 64,
-        "snap_to_grid": False,
-        "regions": None,
-    },
+    "phantom": {"preset": "default", "matrix": 64, "regions": None},
     "noise": {"sigma": 0.0, "seed": 1234},
     "recon": {
-        "method": "dm-pgd",
         "iterations": 5,
         "step_size": None,
         "power_iters": 30,
@@ -106,7 +99,6 @@ DEFAULT_CONFIG = {
         "seed": 0,
         "batch_size": 1,
         "n_train": 3,
-        "n_regions": 6,
         "width": 32,
         "attention": False,
         "encoder_epochs": None,
@@ -177,14 +169,16 @@ def _noise_sigma(cfg):
 
 def build_sequence(cfg):
     sc = cfg["sequence"]
-    if sc["flip_csv"] is not None:
-        flips = load_flip_schedule_csv(sc["flip_csv"])
-    elif sc["flip_schedule"] == "sinusoidal":
-        flips = sinusoidal_flip_schedule(_at_least(cfg, "sequence.n_frames", 1))
+    n_frames = _at_least(cfg, "sequence.n_frames", 1)
+    if sc["flip_csv"] is None:
+        flips = sinusoidal_flip_schedule(n_frames)
     else:
-        raise ConfigError(
-            f"sequence.flip_schedule must be 'sinusoidal' (got {sc['flip_schedule']!r})"
-        )
+        flips = load_flip_schedule_csv(sc["flip_csv"])
+        if flips.size != n_frames:
+            raise ConfigError(
+                f"sequence.flip_csv holds {flips.size} angles but "
+                f"sequence.n_frames is {n_frames}"
+            )
     try:
         return SequenceParams(
             flip_angles_rad=flips,
@@ -206,18 +200,15 @@ def build_grid_values(cfg):
             raise ConfigError(f"grid.{name}.min/max must satisfy 0 < min < max")
         if count < 1:
             raise ConfigError(f"grid.{name}.count must be >= 1")
-        if g["spacing"] == "log":
-            values.append(np.geomspace(lo, hi, count))
-        elif g["spacing"] == "linear":
-            values.append(np.linspace(lo, hi, count))
-        else:
-            raise ConfigError(f"grid.{name}.spacing must be 'log' or 'linear'")
+        values.append(np.geomspace(lo, hi, count))
+    if valid_pairs(*values)[0].size == 0:
+        raise ConfigError("grid.t2 lies above grid.t1: no (t1, t2) pair has t2 <= t1")
     return values
 
 
 def build_operator(cfg, matrix, sub):
     tc = cfg["trajectory"]
-    if tc["kind"] not in ("golden_radial", "cartesian_full", "cartesian_lines"):
+    if tc["kind"] not in TRAJECTORY_KINDS:
         raise ConfigError(f"trajectory.kind unknown: {tc['kind']!r}")
     r = _at_least(cfg, "trajectory.r", 1)
     if r > sub.n_frames:
@@ -276,7 +267,7 @@ def train_config(cfg):
     )
 
 
-def build_phantom_from_config(cfg, grid=None):
+def build_phantom_from_config(cfg):
     pc = cfg["phantom"]
     matrix = _at_least(cfg, "phantom.matrix", 8)
     if pc["regions"] is not None:
@@ -285,12 +276,6 @@ def build_phantom_from_config(cfg, grid=None):
         regions = PRESETS[pc["preset"]]
     else:
         raise ConfigError(f"phantom.preset unknown: {pc['preset']!r}")
-    if pc["snap_to_grid"]:
-        if grid is None:
-            raise ConfigError("phantom.snap_to_grid requires a dictionary")
-        regions = snap_regions_to_grid(
-            regions, grid.t1_values_ms, grid.t2_values_ms
-        )
     try:
         return make_phantom({"regions": regions}, matrix)
     except ValueError as exc:
@@ -358,17 +343,14 @@ def write_pgm16(path, img, lo, hi):
 
 def cmd_build_dict(args):
     cfg = load_config(args.config)
-    if args.s is not None:
-        cfg["subspace"]["s"] = int(args.s)
     seq = build_sequence(cfg)
     t1_values, t2_values = build_grid_values(cfg)
     k_max = _at_least(cfg, "epg.k_max", 2)
-    grid = build_dictionary(seq, t1_values, t2_values, k_max=k_max)
+    s_max = min(seq.n_frames, valid_pairs(t1_values, t2_values)[0].size)
     s = int(cfg["subspace"]["s"])
-    if not 1 <= s <= min(grid.n_frames, grid.n_atoms):
-        raise ConfigError(
-            f"subspace.s must lie in [1, {min(grid.n_frames, grid.n_atoms)}]"
-        )
+    if not 1 <= s <= s_max:
+        raise ConfigError(f"subspace.s must lie in [1, {s_max}]")
+    grid = build_dictionary(seq, t1_values, t2_values, k_max=k_max)
     sub = compute_subspace(grid, s)
 
     proj = grid.atoms @ sub.basis.conj()
@@ -389,7 +371,7 @@ def cmd_simulate(args):
     k_max = _at_least(cfg, "epg.k_max", 2)
     noise = NoiseSpec(sigma=_noise_sigma(cfg), seed=int(cfg["noise"]["seed"]))
     grid, sub = load_dictionary(args.dict)
-    phantom = build_phantom_from_config(cfg, grid=grid)
+    phantom = build_phantom_from_config(cfg)
     op, traj = build_operator(cfg, phantom.maps.shape[0], sub)
     y = simulate_measurements(phantom, grid.seq, sub, op, noise=noise, k_max=k_max)
     truth = phantom.maps.zero_outside_mask()
@@ -402,6 +384,11 @@ def cmd_simulate(args):
 def cmd_reconstruct(args):
     cfg = load_config(args.config)
     method = args.method
+    neural = method in ("neural-unrolled", "bp-neural")
+    if neural and args.model is None:
+        raise ConfigError(f"method {method} requires --model")
+    if not neural and args.model is not None:
+        raise ConfigError(f"--model cannot be set for method {method}: it reads no checkpoint")
     pcfg = pgd_config(cfg) if method == "dm-pgd" else None
     y, coil_maps, traj, sim_inputs = load_simulation(args.data)
     grid, sub = load_dictionary(args.dict)
@@ -414,9 +401,7 @@ def cmd_reconstruct(args):
         )
 
     model = None
-    if method in ("neural-unrolled", "bp-neural"):
-        if args.model is None:
-            raise ConfigError(f"method {method} requires --model")
+    if neural:
         model, _ = load_model(args.model)
         rc = cfg["recon"]  # neural-unrolled runs the checkpoint's iterations and steps
         if method == "neural-unrolled" and rc["step_size"] is not None:
@@ -468,9 +453,7 @@ def cmd_train(args):
     rng = np.random.default_rng(train_cfg.seed)
     dataset = []
     for _ in range(int(tc["n_train"])):
-        phantom = make_phantom(
-            {"regions": random_regions(rng, int(tc["n_regions"]))}, matrix
-        )
+        phantom = make_phantom({"regions": random_regions(rng)}, matrix)
         noise = NoiseSpec(sigma=sigma, seed=int(rng.integers(2**31)))
         y = simulate_measurements(phantom, grid.seq, sub, op, noise=noise, k_max=k_max)
         dataset.append((y, phantom.maps.zero_outside_mask()))
@@ -586,8 +569,7 @@ def build_parser():
         p.set_defaults(func=func, echo=echo)
         return p
 
-    p = command("build-dict", cmd_build_dict, "build dictionary + subspace", ("out",))
-    p.add_argument("--s", type=int, default=None, help="override subspace size")
+    command("build-dict", cmd_build_dict, "build dictionary + subspace", ("out",))
 
     p = command("simulate", cmd_simulate, "simulate phantom measurements", ("dict", "out"))
     p.add_argument("--dict", required=True)

@@ -177,11 +177,58 @@ def test_dm_pgd_with_complex_subspace_is_a_one_line_runtime_error(pipeline, tmp_
 
 
 def test_build_dict_s_override(tmp_path):
-    cfg = write_config(tmp_path)
-    r = run_cli("build-dict", "--config", cfg, "--s", "3", "--out", tmp_path / "d3")
+    cfg = write_config(tmp_path, {"subspace.s": 3})
+    r = run_cli("build-dict", "--config", cfg, "--out", tmp_path / "d3")
     assert r.returncode == 0
     assert read_json(tmp_path / "d3" / "dict.json")["s"] == 3
     assert "n_atoms" in r.stdout
+    # subspace.s is the one way to set s: there is no --s flag
+    r = run_cli("build-dict", "--config", cfg, "--s", "3", "--out", tmp_path / "flag")
+    assert r.returncode == 2 and "--s" in r.stderr
+    assert not (tmp_path / "flag").exists()
+
+
+def test_out_of_range_subspace_s_is_refused_before_the_dictionary_is_simulated(
+    tmp_path, monkeypatch
+):
+    def build_dictionary(*args, **kwargs):
+        raise AssertionError("build_dictionary ran before subspace.s was checked")
+
+    monkeypatch.setattr(cli, "build_dictionary", build_dictionary)
+    # 40 frames and 46 valid (t1, t2) pairs bound s at 40
+    for s in (0, 41):
+        cfg = write_config(tmp_path, {"subspace.s": s})
+        assert cli.main(["build-dict", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 2
+        assert not (tmp_path / "d").exists()
+
+
+def _flip_csv(tmp_path, n):
+    path = tmp_path / f"flips{n}.csv"
+    path.write_text("".join(f"{10.0 + i}\n" for i in range(n)))
+    return path
+
+
+def test_flip_csv_of_n_frames_angles_builds_the_dictionary(tmp_path):
+    cfg = write_config(
+        tmp_path, {"sequence.flip_csv": str(_flip_csv(tmp_path, 30)), "sequence.n_frames": 30}
+    )
+    r = run_cli("build-dict", "--config", cfg, "--out", tmp_path / "d")
+    assert r.returncode == 0, r.stderr
+    meta = read_json(tmp_path / "d" / "dict.json")
+    assert meta["n_frames"] == 30
+    np.testing.assert_allclose(
+        meta["sequence"]["flip_angles_rad"], np.deg2rad(10.0 + np.arange(30)), rtol=1e-15
+    )
+    assert read_tensor(tmp_path / "d" / "atoms.mrfb").shape[1] == 30
+
+
+def test_flip_csv_whose_length_is_not_n_frames_is_a_config_error(tmp_path):
+    # TINY_CONFIG has 40 frames
+    cfg = write_config(tmp_path, {"sequence.flip_csv": str(_flip_csv(tmp_path, 30))})
+    r = run_cli("build-dict", "--config", cfg, "--out", tmp_path / "d")
+    assert r.returncode == 2, r.stderr
+    assert "sequence.flip_csv" in r.stderr and "sequence.n_frames" in r.stderr
+    assert not (tmp_path / "d").exists()
 
 
 def test_invalid_grid_exit_code_names_field(tmp_path):
@@ -201,6 +248,7 @@ def test_invalid_grid_exit_code_names_field(tmp_path):
         ("simulate", "noise.sigma", -1.0),
         ("simulate", "epg.k_max", 1),
         ("build-dict", "epg.k_max", 1),
+        ("build-dict", "grid.t2", {"min": 2500.0, "max": 3000.0, "count": 6}),
     ],
 )
 def test_simulate_or_build_dict_setting_it_cannot_honour_is_a_config_error(
@@ -217,12 +265,24 @@ def test_simulate_or_build_dict_setting_it_cannot_honour_is_a_config_error(
     assert not (tmp_path / "out").exists()
 
 
+# former config keys, each with its last default: now each is an unknown key
+DELETED_KEYS = {
+    "recon.method": "dm-pgd",
+    "sequence.flip_schedule": "sinusoidal",
+    "grid.t1.spacing": "log",
+    "grid.t2.spacing": "log",
+    "phantom.snap_to_grid": False,
+    "train.n_regions": 6,
+}
+
+
 def test_unknown_config_key_rejected(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"gridz": {}}))
-    r = run_cli("build-dict", "--config", path, "--out", tmp_path / "bad")
-    assert r.returncode == 2
-    assert "unknown config key" in r.stderr
+    for key, value in {"gridz": {}, **DELETED_KEYS}.items():
+        path = write_config(tmp_path, {key: value}, name="bad.json")
+        r = run_cli("build-dict", "--config", path, "--out", tmp_path / "bad")
+        assert r.returncode == 2, key
+        assert f"unknown config key: {key}" in r.stderr
+        assert not (tmp_path / "bad").exists()
 
 
 def test_simulate_outputs_and_manifest(pipeline):
@@ -526,25 +586,25 @@ def test_rerun_from_manifest_reproduces_outputs(pipeline, tmp_path):
         assert (root / "sim" / name).read_bytes() == (tmp_path / "sim2" / name).read_bytes()
 
 
+# a few seconds of training on TINY_CONFIG
+TINY_TRAIN = {
+    "train.epochs": 3,
+    "train.encoder_epochs": 3,
+    "train.n_train": 1,
+    "train.decoder_epochs": 80,
+    "train.decoder_offgrid": 300,
+    "train.decoder_threshold": 0.2,
+    "train.width": 4,
+    "recon.iterations": 2,
+}
+
+
 @pytest.fixture(scope="module")
 def trained(pipeline):
     """`train` on the pipeline's dictionary; the train keys leave it and the
     simulation as they are."""
     root, _ = pipeline
-    cfg = write_config(
-        root,
-        {
-            "train.epochs": 3,
-            "train.encoder_epochs": 3,
-            "train.n_train": 1,
-            "train.decoder_epochs": 80,
-            "train.decoder_offgrid": 300,
-            "train.decoder_threshold": 0.2,
-            "train.width": 4,
-            "recon.iterations": 2,
-        },
-        name="train.json",
-    )
+    cfg = write_config(root, TINY_TRAIN, name="train.json")
     r = run_cli("train", "--config", cfg, "--dict", root / "dict", "--out", root / "ckpt")
     assert r.returncode == 0, r.stderr
     return root / "ckpt", cfg
@@ -671,6 +731,18 @@ def test_train_batch_size_other_than_one_rejected(pipeline, tmp_path):
     assert not (tmp_path / "ckpt").exists()
 
 
+@pytest.mark.parametrize("method", ["bp-dm", "dm-pgd"])
+def test_model_for_a_method_that_reads_no_checkpoint_is_a_config_error(pipeline, tmp_path, method):
+    root, cfg = pipeline
+    r = run_cli(
+        "reconstruct", "--config", cfg, "--data", root / "sim", "--dict", root / "dict",
+        "--model", tmp_path / "no_checkpoint", "--method", method, "--out", tmp_path / "rec",
+    )
+    assert r.returncode == 2, r.stderr
+    assert "--model" in r.stderr
+    assert not (tmp_path / "rec").exists()
+
+
 def test_neural_method_requires_model(pipeline, tmp_path):
     root, cfg = pipeline
     r = run_cli(
@@ -683,3 +755,46 @@ def test_neural_method_requires_model(pipeline, tmp_path):
     )
     assert r.returncode == 2
     assert "--model" in r.stderr
+
+
+class _ReadRecorder(dict):
+    """A config node that adds the dotted path of each key read through [] to `seen`."""
+
+    def __init__(self, node, seen, path=""):
+        super().__init__(
+            {k: _ReadRecorder(v, seen, f"{path}{k}.") if isinstance(v, dict) and v else v
+             for k, v in node.items()}
+        )
+        self.seen, self.path = seen, path
+
+    def __getitem__(self, key):
+        self.seen.add(self.path + key)
+        return super().__getitem__(key)
+
+
+def _leaves(node, path=""):
+    for key, value in node.items():
+        if isinstance(value, dict) and value:
+            yield from _leaves(value, f"{path}{key}.")
+        else:
+            yield path + key
+
+
+def test_every_config_key_has_a_reader(tmp_path, monkeypatch):
+    """build-dict, simulate, train and dm-pgd reconstruct between them read
+    every leaf of DEFAULT_CONFIG; a key that none reads is a setting the
+    system ignores."""
+    seen = set()
+    load_config = cli.load_config
+    monkeypatch.setattr(cli, "load_config", lambda path: _ReadRecorder(load_config(path), seen))
+    cfg = write_config(tmp_path, TINY_TRAIN)
+    for argv in (
+        ("build-dict", "--out", tmp_path / "dict"),
+        ("simulate", "--dict", tmp_path / "dict", "--out", tmp_path / "sim"),
+        ("train", "--dict", tmp_path / "dict", "--out", tmp_path / "ckpt"),
+        ("reconstruct", "--data", tmp_path / "sim", "--dict", tmp_path / "dict",
+         "--method", "dm-pgd", "--out", tmp_path / "rec"),
+    ):
+        assert cli.main([*map(str, argv), "--config", str(cfg)]) == 0, argv[0]
+    unread = sorted(set(_leaves(cli.DEFAULT_CONFIG)) - seen)
+    assert not unread, f"config keys nothing reads: {unread}"
