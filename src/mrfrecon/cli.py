@@ -173,7 +173,10 @@ def build_sequence(cfg):
     if sc["flip_csv"] is None:
         flips = sinusoidal_flip_schedule(n_frames)
     else:
-        flips = load_flip_schedule_csv(sc["flip_csv"])
+        try:
+            flips = load_flip_schedule_csv(sc["flip_csv"])
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"sequence.flip_csv: {exc}") from None
         if flips.size != n_frames:
             raise ConfigError(
                 f"sequence.flip_csv holds {flips.size} angles but "
@@ -356,8 +359,15 @@ def cmd_build_dict(args):
     proj = grid.atoms @ sub.basis.conj()
     resid = grid.atoms - proj @ sub.basis.T
     rel = np.linalg.norm(resid, axis=1)  # atoms are unit norm
+    power = sub.singular_values**2
+    subspace = {
+        "s": s,
+        "energy_captured": float(power[:s].sum() / power.sum()),
+        "atom_residual_mean": float(rel.mean()),
+        "atom_residual_max": float(rel.max()),
+    }
     save_dictionary(args.out, grid, sub)
-    write_manifest(args, cfg, {})
+    write_manifest(args, cfg, {}, subspace=subspace)
     print(f"n_atoms: {grid.n_atoms}")
     print(
         f"subspace s={s}: mean atom residual {rel.mean():.3e}, "

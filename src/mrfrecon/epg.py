@@ -13,6 +13,13 @@ inversion (instantaneous 180 deg followed by TI of pure relaxation) precedes
 the first repetition. The unbalanced gradient dephases spins by exactly one
 cycle per TR, which is what makes the integer-order configuration states
 exact.
+
+The batch recursion keeps (F+, F-*, Z) of every pair stacked in one
+orders-major (3, k_max, n) array. A frame is one 3x3 RF block applied to
+the whole state as a single matrix product (it runs through BLAS, under the
+package's single-thread pin), the readout of F+_0 scaled by E2(TE), and one
+write-back that folds the two relaxation intervals into E1(TR), E2(TR) and
+the Z_0 regrowth while shifting the orders; no array is allocated per frame.
 """
 
 from dataclasses import dataclass
@@ -89,73 +96,6 @@ class TissueParams:
             raise ValueError("pd must be >= 0")
 
 
-@dataclass
-class EpgState:
-    """Configuration states of a batch of spin systems.
-
-    f_plus[k] holds the order-k transverse state F_k, f_minus[k] the conjugated
-    negative order (F_{-k})*, z[k] the longitudinal order Z_k; all arrays are
-    real (batch, k_max), since zero-phase RF keeps every state real. At order
-    0, f_minus[0] == f_plus[0] always.
-    """
-
-    f_plus: np.ndarray
-    f_minus: np.ndarray
-    z: np.ndarray
-
-    @classmethod
-    def equilibrium(cls, batch, k_max):
-        if k_max < 2:
-            raise ValueError("k_max must be >= 2")
-        shape = (batch, k_max)
-        z = np.zeros(shape)
-        z[:, 0] = 1.0
-        return cls(f_plus=np.zeros(shape), f_minus=np.zeros(shape), z=z)
-
-
-def _apply_rf(state, alpha):
-    """Mix configuration states with a zero-phase RF pulse of flip alpha.
-
-    Derived from the rotation M+ -> cos^2(a/2) M+ - sin^2(a/2) M- + sin(a) Mz,
-    which is real for zero-phase pulses.
-    """
-    c2 = np.cos(alpha / 2.0) ** 2
-    s2 = np.sin(alpha / 2.0) ** 2
-    sa = np.sin(alpha)
-    ca = np.cos(alpha)
-    fp, fm, z = state.f_plus, state.f_minus, state.z
-    state.f_plus = c2 * fp - s2 * fm + sa * z
-    state.f_minus = -s2 * fp + c2 * fm + sa * z
-    state.z = -0.5 * sa * fp - 0.5 * sa * fm + ca * z
-
-
-def _relax(state, dt_ms, t1_ms, t2_ms):
-    """Exact exponential relaxation over dt_ms with Z_0 regrowth."""
-    e1 = np.exp(-dt_ms / t1_ms)
-    e2 = np.exp(-dt_ms / t2_ms)
-    state.f_plus *= e2[:, None]
-    state.f_minus *= e2[:, None]
-    state.z *= e1[:, None]
-    state.z[:, 0] += 1.0 - e1
-
-
-def _grad_shift(state):
-    """One unit of gradient dephasing: F_k -> F_{k+1}; orders >= k_max drop.
-
-    The new F_0 is F_{-1}, i.e. conj(f_minus[1]), which is f_minus[1] itself
-    for real states.
-    """
-    fp, fm = state.f_plus, state.f_minus
-    new_fp = np.empty_like(fp)
-    new_fp[:, 1:] = fp[:, :-1]
-    new_fp[:, 0] = fm[:, 1]
-    new_fm = np.empty_like(fm)
-    new_fm[:, :-1] = fm[:, 1:]
-    new_fm[:, -1] = 0.0
-    state.f_plus = new_fp
-    state.f_minus = new_fm
-
-
 def simulate_epg_batch(seq, t1_ms, t2_ms, k_max=DEFAULT_K_MAX):
     """Simulate unit-PD fingerprints for a batch of (T1, T2) pairs.
 
@@ -173,23 +113,44 @@ def simulate_epg_batch(seq, t1_ms, t2_ms, k_max=DEFAULT_K_MAX):
         raise ValueError("t1_ms and t2_ms must be 1-D arrays of equal length")
     if np.any(t1 <= 0) or np.any(t2 <= 0) or np.any(t2 > t1):
         raise ValueError("need 0 < t2 <= t1 for every pair")
+    if k_max < 2:
+        raise ValueError("k_max must be >= 2")
 
     n = t1.size
-    state = EpgState.equilibrium(n, k_max)
-    if seq.invert_first:
-        _apply_rf(state, np.pi)
-        if seq.ti_ms > 0.0:
-            _relax(state, seq.ti_ms, t1, t2)
+    # state[0, k] = F_k, state[1, k] = (F_{-k})*, state[2, k] = Z_k; order 0
+    # of F+ and F-* always agree. Orders-major, so a per-pair factor
+    # broadcasts over the last axis and the RF is one (3, 3) @ (3, k_max*n).
+    state = np.zeros((3, k_max, n))
+    mixed = np.empty_like(state)
+    # an ideal inversion takes Z_0 to -1, which relaxes over TI to 1 - 2 E1(TI)
+    state[2, 0] = 1.0 - 2.0 * np.exp(-seq.ti_ms / t1) if seq.invert_first else 1.0
 
-    te = seq.te_ms
-    rem = seq.tr_ms - seq.te_ms
+    e2_te = np.exp(-seq.te_ms / t2)
+    e2 = np.exp(-seq.tr_ms / t2)
+    e1 = np.exp(-seq.tr_ms / t1)
+    e1_rem = np.exp(-(seq.tr_ms - seq.te_ms) / t1)
+    regrow = (1.0 - np.exp(-seq.te_ms / t1)) * e1_rem + (1.0 - e1_rem)
+
+    # zero-phase RF mixing, one 3x3 block per frame, derived from the rotation
+    # M+ -> cos^2(a/2) M+ - sin^2(a/2) M- + sin(a) Mz (real for zero phase)
+    a = seq.flip_angles_rad
+    c2, s2, sa, ca = np.cos(a / 2.0) ** 2, np.sin(a / 2.0) ** 2, np.sin(a), np.cos(a)
+    rf = np.array([[c2, -s2, sa], [-s2, c2, sa], [-0.5 * sa, -0.5 * sa, ca]])
+    rf = np.ascontiguousarray(rf.transpose(2, 0, 1))
+
+    flat_state = state.reshape(3, -1)
+    flat_mixed = mixed.reshape(3, -1)
     signal = np.empty((n, seq.n_frames))
-    for i, alpha in enumerate(seq.flip_angles_rad):
-        _apply_rf(state, alpha)
-        _relax(state, te, t1, t2)
-        signal[:, i] = state.f_plus[:, 0]
-        _relax(state, rem, t1, t2)
-        _grad_shift(state)
+    for i in range(seq.n_frames):
+        np.matmul(rf[i], flat_state, out=flat_mixed)
+        np.multiply(mixed[0, 0], e2_te, out=signal[:, i])
+        # relax over TR, then dephase one order: F_k -> F_{k+1}, the new F_0
+        # is (F_{-1})*, and orders past k_max - 1 drop (state[1, -1] stays 0)
+        np.multiply(mixed[0, :-1], e2, out=state[0, 1:])
+        np.multiply(mixed[1, 1:], e2, out=state[1, :-1])
+        state[0, 0] = state[1, 0]
+        np.multiply(mixed[2], e1, out=state[2])
+        state[2, 0] += regrow
 
     if not np.all(np.isfinite(signal)):
         bad = int(np.argwhere(~np.isfinite(signal))[0][1])

@@ -131,6 +131,23 @@ def test_benchmark_entry_points_build_the_simulated_operator(pipeline):
     assert callable(cli.main) and callable(cli.write_manifest)
 
 
+def test_build_dict_manifest_records_subspace_energy_and_atom_residuals(pipeline):
+    d = pipeline[0] / "dict"
+    recorded = read_json(d / "manifest.json")["subspace"]
+    atoms, basis = read_tensor(d / "atoms.mrfb"), read_tensor(d / "subspace.mrfb")
+    power = read_tensor(d / "singular_values.mrfb") ** 2
+    resid = np.linalg.norm(atoms - atoms @ basis @ basis.T, axis=1)
+    assert recorded["s"] == 4
+    energy = power[:4].sum() / power.sum()
+    np.testing.assert_allclose(recorded["energy_captured"], energy, rtol=1e-12)
+    np.testing.assert_allclose(
+        [recorded["atom_residual_mean"], recorded["atom_residual_max"]],
+        [resid.mean(), resid.max()],
+        rtol=1e-9,
+    )
+    assert 0.0 < recorded["energy_captured"] < 1.0
+
+
 def test_build_dict_writes_float64_atoms_and_subspace(pipeline):
     root, _ = pipeline
     for name in ("atoms.mrfb", "subspace.mrfb"):
@@ -228,6 +245,24 @@ def test_flip_csv_whose_length_is_not_n_frames_is_a_config_error(tmp_path):
     r = run_cli("build-dict", "--config", cfg, "--out", tmp_path / "d")
     assert r.returncode == 2, r.stderr
     assert "sequence.flip_csv" in r.stderr and "sequence.n_frames" in r.stderr
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "directory", "10\nforty\n", "10 20\n30 40\n"],
+    ids=["missing", "unreadable", "non-numeric", "two-columns"],
+)
+def test_flip_csv_that_cannot_be_read_as_angles_is_a_config_error(tmp_path, content):
+    path = tmp_path / "flips.csv"
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_text(content)
+    cfg = write_config(tmp_path, {"sequence.flip_csv": str(path)})
+    r = run_cli("build-dict", "--config", cfg, "--out", tmp_path / "d")
+    assert r.returncode == 2, r.stderr
+    assert "sequence.flip_csv" in r.stderr
     assert not (tmp_path / "d").exists()
 
 

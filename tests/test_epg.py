@@ -2,8 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from mrfrecon.dictionary import valid_pairs
 from mrfrecon.epg import (
-    EpgState,
     SequenceParams,
     TissueParams,
     load_flip_schedule_csv,
@@ -112,12 +112,74 @@ def test_zero_phase_response_is_real(short_seq):
         assert np.abs(oracle.imag).max() <= 1e-12 * np.abs(oracle).max()
 
 
-def test_equilibrium_state_and_kmax_validation():
-    st = EpgState.equilibrium(3, 7)
-    assert st.z[0, 0] == 1.0 and np.all(st.z[:, 1:] == 0)
-    assert np.all(st.f_plus == 0) and np.all(st.f_minus == 0)
-    with pytest.raises(ValueError):
-        EpgState.equilibrium(1, 1)
+def test_kmax_validation_and_first_frame_from_equilibrium():
+    seq = SequenceParams(np.deg2rad([30.0, 50.0]), 10.0, 1.8, 0.0, invert_first=False)
+    with pytest.raises(ValueError, match="k_max"):
+        simulate_epg_batch(seq, [784.0], [77.0], k_max=1)
+    sig = simulate_epg_batch(seq, [784.0, 300.0], [77.0, 30.0], k_max=2)
+    expected = np.sin(np.deg2rad(30.0)) * np.exp(-1.8 / np.array([77.0, 30.0]))
+    npt.assert_allclose(sig[:, 0], expected, rtol=1e-15)
+
+
+def _three_step_reference(seq, t1, t2, k_max):
+    """The recursion as separate steps on separate (n, k_max) F+, F-*, Z arrays:
+    RF, relaxation over TE (readout), relaxation over TR - TE, gradient shift."""
+    n = t1.size
+    fp, fm, z = np.zeros((n, k_max)), np.zeros((n, k_max)), np.zeros((n, k_max))
+    z[:, 0] = 1.0
+
+    def rf(alpha):
+        c2, s2 = np.cos(alpha / 2.0) ** 2, np.sin(alpha / 2.0) ** 2
+        sa, ca = np.sin(alpha), np.cos(alpha)
+        return (
+            c2 * fp - s2 * fm + sa * z,
+            -s2 * fp + c2 * fm + sa * z,
+            -0.5 * sa * fp - 0.5 * sa * fm + ca * z,
+        )
+
+    def relax(dt):
+        e1, e2 = np.exp(-dt / t1)[:, None], np.exp(-dt / t2)[:, None]
+        z_new = z * e1
+        z_new[:, 0] += 1.0 - e1[:, 0]
+        return fp * e2, fm * e2, z_new
+
+    if seq.invert_first:
+        fp, fm, z = rf(np.pi)
+        if seq.ti_ms > 0.0:
+            fp, fm, z = relax(seq.ti_ms)
+    signal = np.empty((n, seq.n_frames))
+    for i, alpha in enumerate(seq.flip_angles_rad):
+        fp, fm, z = rf(alpha)
+        fp, fm, z = relax(seq.te_ms)
+        signal[:, i] = fp[:, 0]
+        fp, fm, z = relax(seq.tr_ms - seq.te_ms)
+        fp = np.concatenate([fm[:, 1:2], fp[:, :-1]], axis=1)
+        fm = np.concatenate([fm[:, 1:], np.zeros((n, 1))], axis=1)
+    return signal
+
+
+@pytest.mark.parametrize("k_max", [2, 3, 50])
+@pytest.mark.parametrize("invert_first,ti_ms", [(False, 0.0), (True, 0.0), (True, 18.0)])
+def test_batch_kernel_matches_three_step_recursion(k_max, invert_first, ti_ms):
+    # 120 frames, more than any k_max here, so the top order is truncated
+    seq = SequenceParams(sinusoidal_flip_schedule(120), 10.0, 1.8, ti_ms, invert_first)
+    t1, t2 = valid_pairs(np.geomspace(100.0, 4000.0, 6), np.geomspace(10.0, 600.0, 5))
+    ref = _three_step_reference(seq, t1, t2, k_max)
+    got = simulate_epg_batch(seq, t1, t2, k_max=k_max)
+    assert got.shape == ref.shape and got.dtype == np.float64
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_batch_rows_independent_of_batch_split():
+    seq = SequenceParams(sinusoidal_flip_schedule(200), 10.0, 1.8, 18.0, True)
+    # the benchmark's dictionary: a 30 x 25 log grid, 662 pairs with T2 <= T1
+    t1, t2 = valid_pairs(np.geomspace(100.0, 4000.0, 30), np.geomspace(10.0, 600.0, 25))
+    assert t1.size == 662
+    whole = simulate_epg_batch(seq, t1, t2)
+    for j in (0, 331, 661):
+        npt.assert_array_equal(simulate_epg_batch(seq, t1[j : j + 1], t2[j : j + 1])[0], whole[j])
+    halves = [simulate_epg_batch(seq, t1[sl], t2[sl]) for sl in (slice(0, 300), slice(300, None))]
+    npt.assert_array_equal(np.concatenate(halves), whole)
 
 
 @pytest.mark.parametrize(
