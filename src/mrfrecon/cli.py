@@ -41,7 +41,6 @@ from .neuralprox import (
     train_unrolled,
 )
 from .phantom import (
-    PRESETS,
     NoiseSpec,
     make_phantom,
     metrics_rows,
@@ -273,14 +272,9 @@ def train_config(cfg):
 def build_phantom_from_config(cfg):
     pc = cfg["phantom"]
     matrix = _at_least(cfg, "phantom.matrix", 8)
-    if pc["regions"] is not None:
-        regions = pc["regions"]
-    elif pc["preset"] in PRESETS:
-        regions = PRESETS[pc["preset"]]
-    else:
-        raise ConfigError(f"phantom.preset unknown: {pc['preset']!r}")
+    spec = {"preset": pc["preset"]} if pc["regions"] is None else {"regions": pc["regions"]}
     try:
-        return make_phantom({"regions": regions}, matrix)
+        return make_phantom(spec, matrix)
     except ValueError as exc:
         raise ConfigError(f"phantom: {exc}") from None
 

@@ -3,10 +3,10 @@
 The prox is decoder(encoder(g)) scaled by the predicted proton density; the
 encoder is a compact convolutional net with bounded outputs mapping straight
 to physical ranges, the decoder a small per-voxel MLP fit to compressed EPG
-responses. Unrolled training differentiates through T proximal gradient
-iterations, including the acquisition's normal operator H^H H, with the
-encoder weights shared across iterations and one trainable log step size per
-iteration.
+responses. Unrolled training differentiates through T iterations of
+recon.pgd_iterates, the one PGD iteration inference runs too, normal operator
+H^H H included, with the encoder weights shared across iterations and one
+trainable log step size per iteration.
 """
 
 from dataclasses import dataclass
@@ -18,6 +18,7 @@ from .dictionary import compress
 from .epg import DEFAULT_K_MAX, simulate_epg_batch
 from .errors import TrainingFailure
 from .maps import QMaps
+from .recon import pgd_iterates, sample_constants
 from .tensorfile import load_checkpoint, save_checkpoint
 
 # bounded output activations of the encoder; every prox output is physical
@@ -237,13 +238,6 @@ def prox_nodes(tape, encoder, decoder, g_node):
     return tape.mul(x, pd), m
 
 
-def sample_constants(y, op, x0):
-    """Per-sample constants of the unrolled loss, fixed for a sample:
-    (H^H y as real planes, ||y||^2, N x0 as real planes)."""
-    y = np.asarray(y)
-    return c2r_channels(op.adjoint(y)), np.vdot(y, y).real, c2r_channels(op.normal(x0))
-
-
 def _map_terms(tape, m, truth):
     """Normalized MSE node of each of the T1/T2/PD planes of m against truth."""
     targets = (truth.t1_ms, truth.t2_ms, truth.pd)
@@ -257,35 +251,22 @@ def _map_terms(tape, m, truth):
 
 
 def unrolled_loss_nodes(tape, model, y, op, x0, truth, cfg, constants=None):
-    """Record the unrolled forward pass and its two-term training loss.
-
-    Map loss is evaluated on the final iterate only; the k-space consistency
-    term ||y - Hx||^2 / (2 y.size), summed over every iterate, is taken as
-    ||y||^2 + Re<x, Nx - 2 H^H y>, so no k-space array sits on the tape.
+    """Record the unrolled forward pass, recon.pgd_iterates with the learned
+    steps and prox_nodes, and its training loss: the map loss of the final
+    iterate plus ||y - Hx||^2 / (2 y.size) summed over the later iterates.
     `constants` is sample_constants(y, op, x0), computed here when omitted.
     Returns (loss node, final maps node).
     """
-    y = np.asarray(y)
-    b, ysq, nx0 = sample_constants(y, op, x0) if constants is None else constants
-    b_node = tape.constant(b)
-    b2_node = tape.constant(2.0 * b)
-    ysq = tape.constant(ysq)
-    x = tape.constant(c2r_channels(np.asarray(x0)))
-    nx = tape.constant(nx0)
+    constants = sample_constants(y, op, x0) if constants is None else constants
     log_alpha = tape.leaf(model.log_alpha)
-
-    ks_terms = []
-    m = None
-    for t in range(model.iterations):
-        alpha = tape.exp(tape.slice_axis0(log_alpha, t, t + 1))
-        g = tape.add(x, tape.mul(tape.sub(b_node, nx), alpha))
-        x, m = prox_nodes(tape, model.encoder, model.decoder, g)
-        nx = tape.apply_normal(x, op)
-        ks_terms.append(tape.add(ysq, tape.vdot(x, tape.sub(nx, b2_node))))
-
+    steps = (tape.exp(tape.slice_axis0(log_alpha, t, t + 1)) for t in range(model.iterations))
+    x = tape.constant(c2r_channels(np.asarray(x0)))
+    prox = lambda tape, g: prox_nodes(tape, model.encoder, model.decoder, g)
+    _, *iterates = pgd_iterates(tape, op, x, constants, steps, prox)
+    m = iterates[-1][1]
     loss = tape.weighted_sum(
-        _map_terms(tape, m, truth) + ks_terms,
-        list(cfg.beta) + [cfg.lam / (2 * y.size)] * model.iterations,
+        _map_terms(tape, m, truth) + [fid for _, _, fid in iterates],
+        list(cfg.beta) + [cfg.lam / (2 * np.size(y))] * model.iterations,
     )
     return loss, m
 
@@ -467,9 +448,8 @@ def decoder_validation_error(decoder, t1_ms, t2_ms, targets):
 
 def save_model(directory, model, seed=None, train_config=None, loss_history=None):
     """Write an UnrolledModel checkpoint: named weights + JSON manifest."""
-    arrays = {p.name: p.value for p in model.encoder.parameters()}
-    arrays.update({p.name: p.value for p in model.decoder.parameters()})
-    arrays["log_alpha"] = model.log_alpha.value
+    weights = model.encoder.parameters() + model.decoder.parameters() + [model.log_alpha]
+    arrays = {p.name: p.value for p in weights}
     manifest = {
         "architecture": {
             "s": model.decoder.s,
@@ -499,9 +479,10 @@ def load_model(directory):
         hidden=arch["hidden"],
     )
     model.decoder.output_scale = arch["decoder_output_scale"]
-    for p in model.encoder.parameters() + model.decoder.parameters():
+    for p in model.encoder.parameters() + model.decoder.parameters() + [model.log_alpha]:
+        if arrays[p.name].shape != p.value.shape:
+            raise ValueError(f"checkpoint {directory}: {p.name} is not of shape {p.value.shape}")
         p.value = arrays[p.name].astype(np.float64)
-    model.log_alpha.value = arrays["log_alpha"].astype(np.float64)
     if manifest.get("decoder_frozen"):
         model.decoder.freeze()
     return model, manifest

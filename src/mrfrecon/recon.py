@@ -1,7 +1,8 @@
 """Proximal gradient descent reconstruction with pluggable proximal operators.
 
-The engine iterates a k-space fidelity gradient step followed by a proximal
-update; the prox is either exhaustive dictionary matching (projection onto the
+The one PGD iteration, pgd_iterates, records a k-space fidelity gradient step
+followed by a proximal update on an autodiff tape, for inference and training
+alike; the prox is either exhaustive dictionary matching (projection onto the
 cone of fingerprint atoms), a learned encoder/decoder pair, or the identity
 (plain gradient descent, used to validate descent behavior).
 """
@@ -10,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import Tape, c2r_channels, r2c_channels
 from .dictionary import _match_arrays, compressed_atoms, dictionary_match
 from .errors import ReconDivergence
 from .maps import QMaps
@@ -52,12 +54,9 @@ class PgdConfig:
 
 @dataclass
 class ReconTrace:
-    """Per-iteration data fidelity ||y - Hx||^2, initialization included,
-    and the step size each iteration took.
-
-    Fidelity is taken as ||y||^2 + Re<x, Nx - 2 H^H y>: exact for integer
-    trajectories, within gridding accuracy (about 1e-3 relative) otherwise.
-    """
+    """Per-iteration data fidelity ||y - Hx||^2 as pgd_iterates takes it (exact
+    for integer trajectories, within gridding accuracy, about 1e-3 relative,
+    otherwise), initialization included, and the step size each iteration took."""
 
     fidelity: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
@@ -93,6 +92,30 @@ def make_dictionary_prox(grid, sub):
     return prox
 
 
+def sample_constants(y, op, x0):
+    """What PGD reads of k-space for a start x0: (H^H y, ||y||^2, N x0), as real planes."""
+    y = np.asarray(y)
+    return c2r_channels(op.adjoint(y)), np.vdot(y, y).real, c2r_channels(op.normal(x0))
+
+
+def pgd_iterates(tape, op, x, constants, steps, prox):
+    """Record PGD on `tape` in real (2s, N, N) planes from the start node x.
+
+    constants is sample_constants(y, op, x0); steps yields a step node alpha as
+    each iteration begins; prox(tape, g) records (x, maps) nodes. Yields the
+    (x, maps, fidelity) nodes of the start (maps None) and of each iterate
+    prox(x + alpha (H^H y - N x)), fidelity ||y||^2 + <x, Nx - 2 H^H y> = ||y - Hx||^2."""
+    b, ysq, nx = (tape.constant(c) for c in constants)
+    b2, maps, steps = tape.scale(b, 2.0), None, iter(steps)
+    while True:
+        yield x, maps, tape.add(ysq, tape.vdot(x, tape.sub(nx, b2)))
+        alpha = next(steps, None)
+        if alpha is None:
+            return
+        x, maps = prox(tape, tape.add(x, tape.mul(tape.sub(b, nx), alpha)))
+        nx = tape.apply_normal(x, op)
+
+
 def pgd_reconstruct(y, op, prox, cfg):
     """Run proximal gradient descent from the density-compensated adjoint.
 
@@ -108,33 +131,28 @@ def pgd_reconstruct(y, op, prox, cfg):
         has iterations+1 fidelity entries.
     """
     alpha = cfg.resolved_steps(op)
-    x = op.backproject(y, equalize=cfg.init_equalize)
-    maps = None
+    x0 = op.backproject(y, equalize=cfg.init_equalize)
     trace = ReconTrace(step_sizes=alpha.tolist())
 
-    # k-space is touched once; each Nx gives both the fidelity and the step
-    b = op.adjoint(y)
-    ysq = float(np.vdot(y, y).real)
-    nx = op.normal(x)
-    fid0 = ysq + float(np.vdot(x, nx - 2.0 * b).real)
-    trace.fidelity.append(fid0)
-    if cfg.record_trace:
-        trace.snapshots.append(None)
+    def tape_prox(tape, g):
+        x, maps = prox(r2c_channels(g.value))
+        return tape.constant(c2r_channels(x)), maps
 
-    for t in range(cfg.iterations):
-        x, maps = prox(x + alpha[t] * (b - nx))
-        nx = op.normal(x)
-        fid = ysq + float(np.vdot(x, nx - 2.0 * b).real)
-        if not np.isfinite(fid):
-            raise ReconDivergence(f"non-finite fidelity at iteration {t + 1}")
-        if fid0 > 0.0 and fid > DIVERGENCE_FACTOR * fid0:
+    tape = Tape(grad=False)
+    x, steps = tape.constant(c2r_channels(x0)), (tape.constant(a) for a in alpha)
+    iterates = pgd_iterates(tape, op, x, sample_constants(y, op, x0), steps, tape_prox)
+    for t, (x, maps, fid) in enumerate(iterates):
+        fid = float(fid.value)
+        if t and not np.isfinite(fid):
+            raise ReconDivergence(f"non-finite fidelity at iteration {t}")
+        if t and trace.fidelity[0] > 0.0 and fid > DIVERGENCE_FACTOR * trace.fidelity[0]:
             raise ReconDivergence(
-                f"fidelity exceeded {DIVERGENCE_FACTOR:g} x initial at iteration {t + 1}"
+                f"fidelity exceeded {DIVERGENCE_FACTOR:g} x initial at iteration {t}"
             )
         trace.fidelity.append(fid)
         if cfg.record_trace:
             trace.snapshots.append(maps)
-    return maps, x, trace
+    return maps, r2c_channels(x.value), trace
 
 
 def backprojection_baseline(y, op, grid=None, sub=None, encoder=None):

@@ -300,6 +300,15 @@ def test_simulate_or_build_dict_setting_it_cannot_honour_is_a_config_error(
     assert not (tmp_path / "out").exists()
 
 
+def test_unknown_phantom_preset_is_a_config_error(pipeline, tmp_path):
+    root, _ = pipeline
+    cfg = write_config(tmp_path, {"phantom.preset": "nosuchpreset"})
+    r = run_cli("simulate", "--config", cfg, "--dict", root / "dict", "--out", tmp_path / "out")
+    assert r.returncode == 2, r.stderr
+    assert "'nosuchpreset'" in r.stderr and "phantom" in r.stderr
+    assert not (tmp_path / "out").exists()
+
+
 # former config keys, each with its last default: now each is an unknown key
 DELETED_KEYS = {
     "recon.method": "dm-pgd",
@@ -755,6 +764,28 @@ def test_neural_unrolled_runs_with_the_checkpoint_settings(pipeline, unrolled_ch
     r = _neural_unrolled(pipeline, unrolled_checkpoint, write_config(tmp_path), tmp_path / "rec")
     assert r.returncode == 0, r.stderr
     assert len(read_json(tmp_path / "rec" / "manifest.json")["step_sizes"]) == 2
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("log_alpha", np.zeros(1)), ("enc_w1", np.zeros((4, 6, 3, 3)))],
+    ids=["one-step-for-three-iterations", "enc_w1-wrong-input-channels"],
+)
+def test_checkpoint_weight_of_the_wrong_shape_is_a_one_line_runtime_error(
+    pipeline, tmp_path, name, value
+):
+    # a three-iteration checkpoint with one weight replaced; recon.iterations
+    # matches the checkpoint, so only the weight's shape is wrong
+    model = UnrolledModel.create(s=TINY_CONFIG["subspace"]["s"], iterations=3, width=4, hidden=8)
+    ckpt = tmp_path / "ckpt"
+    save_model(ckpt, model)
+    write_tensor(ckpt / f"{name}.mrfb", value)
+    cfg = write_config(tmp_path, {"recon.iterations": 3})
+    r = _neural_unrolled(pipeline, ckpt, cfg, tmp_path / "rec")
+    assert r.returncode == 1, r.stderr
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1 and str(ckpt) in lines[0] and name in lines[0], r.stderr
+    assert not (tmp_path / "rec").exists()
 
 
 def test_train_batch_size_other_than_one_rejected(pipeline, tmp_path):

@@ -195,13 +195,14 @@ def test_backward_through_unrolled_encoder_is_repeatable():
         npt.assert_array_equal(g1[p], g2[p])
 
 
-def test_unrolled_inference_equals_pgd_engine():
-    # the tape-recorded unrolled pass and the numpy PGD engine must agree
-    model = tiny_model(seed=7)
+def test_unrolled_inference_equals_pgd_engine(monkeypatch):
+    # every iterate of the training forward pass and of the numpy PGD engine
+    # must agree bit for bit: both run recon.pgd_iterates
+    model = tiny_model(seed=7, iterations=3)
     op = tiny_operator(seed=7)
     rng = np.random.default_rng(7)
     y = rng.standard_normal(op.kspace_shape) + 1j * rng.standard_normal(op.kspace_shape)
-    model.log_alpha.value[:] = np.log(0.5 / op.estimate_operator_norm(iters=20))
+    model.log_alpha.value[:] = np.log(np.array([0.5, 0.4, 0.3]) / op.estimate_operator_norm(iters=20))
 
     truth = QMaps(
         t1_ms=np.full((8, 8), 800.0),
@@ -209,21 +210,93 @@ def test_unrolled_inference_equals_pgd_engine():
         pd=np.ones((8, 8)),
         mask=np.ones((8, 8), bool),
     )
-    tape = Tape()
+    recorded = []
+
+    def recording_prox_nodes(*args):
+        x, m = prox_nodes(*args)
+        recorded.append(m)
+        return x, m
+
+    monkeypatch.setattr(neuralprox, "prox_nodes", recording_prox_nodes)
     x0 = op.backproject(y, equalize=False)
-    _, m_node = unrolled_loss_nodes(tape, model, y, op, x0, truth, TrainConfig())
-    maps_engine, _, _ = pgd_reconstruct(
+    _, m_node = unrolled_loss_nodes(Tape(), model, y, op, x0, truth, TrainConfig())
+    monkeypatch.undo()
+    assert len(recorded) == model.iterations and recorded[-1] is m_node
+
+    maps_engine, _, trace = pgd_reconstruct(
         y,
         op,
         model.make_prox(),
         PgdConfig(
             iterations=model.iterations,
             step_sizes=model.step_sizes,
+            record_trace=True,
             init_equalize=False,
         ),
     )
-    npt.assert_allclose(m_node.value[0], maps_engine.t1_ms, rtol=1e-12)
-    npt.assert_allclose(m_node.value[2], maps_engine.pd, rtol=1e-12)
+    assert trace.snapshots[0] is None and trace.snapshots[-1] is maps_engine
+    for snapshot, m in zip(trace.snapshots[1:], recorded, strict=True):
+        for plane, ref in zip((snapshot.t1_ms, snapshot.t2_ms, snapshot.pd), m.value):
+            npt.assert_array_equal(plane, ref)
+
+
+def reference_unrolled_loss(tape, model, y, op, x0, truth, cfg):
+    """The unrolled forward pass and loss as unrolled_loss_nodes recorded them
+    with its own loop, before recon.pgd_iterates."""
+    b = c2r_channels(op.adjoint(y))
+    b_node = tape.constant(b)
+    b2_node = tape.constant(2.0 * b)
+    ysq = tape.constant(np.vdot(y, y).real)
+    x = tape.constant(c2r_channels(x0))
+    nx = tape.constant(c2r_channels(op.normal(x0)))
+    log_alpha = tape.leaf(model.log_alpha)
+    ks_terms = []
+    for t in range(model.iterations):
+        alpha = tape.exp(tape.slice_axis0(log_alpha, t, t + 1))
+        g = tape.add(x, tape.mul(tape.sub(b_node, nx), alpha))
+        x, m = prox_nodes(tape, model.encoder, model.decoder, g)
+        nx = tape.apply_normal(x, op)
+        ks_terms.append(tape.add(ysq, tape.vdot(x, tape.sub(nx, b2_node))))
+    loss = tape.weighted_sum(
+        neuralprox._map_terms(tape, m, truth) + ks_terms,
+        list(cfg.beta) + [cfg.lam / (2 * y.size)] * model.iterations,
+    )
+    return loss, m
+
+
+@pytest.mark.parametrize("kind", ["golden_radial", "cartesian_full"])
+@pytest.mark.parametrize("attention", [False, True])
+@pytest.mark.parametrize(
+    "cfg", [TrainConfig(), TrainConfig(beta=(0.0, 0.0, 0.0), lam=1.0)], ids=["default", "kspace_only"]
+)
+def test_unrolled_loss_and_gradients_equal_the_tape_loop(kind, attention, cfg):
+    rng = np.random.default_rng(17)
+    n, s, frames = 8, 2, 6
+    traj = make_trajectory(kind, n, d=n, frames=frames)
+    basis = np.linalg.qr(rng.standard_normal((frames, s)))[0].astype(complex)
+    op = AcquisitionOperator(simulate_coil_maps(2, n), traj, basis)
+    model = UnrolledModel.create(s=s, iterations=3, width=4, seed=17, attention=attention, hidden=8)
+    model.decoder.output_scale = 0.8
+    model.decoder.freeze()
+    model.log_alpha.value[:] = np.log(np.array([0.5, 0.4, 0.3]) / op.estimate_operator_norm(iters=20))
+    y = rng.standard_normal(op.kspace_shape) + 1j * rng.standard_normal(op.kspace_shape)
+    truth = QMaps(
+        t1_ms=rng.uniform(300, 2000, (n, n)),
+        t2_ms=rng.uniform(30, 200, (n, n)),
+        pd=rng.uniform(0.2, 1.0, (n, n)),
+        mask=np.ones((n, n), bool),
+    )
+    x0 = op.backproject(y, equalize=False)
+
+    tape, ref_tape = Tape(), Tape()
+    loss, m = unrolled_loss_nodes(tape, model, y, op, x0, truth, cfg)
+    ref_loss, ref_m = reference_unrolled_loss(ref_tape, model, y, op, x0, truth, cfg)
+    assert loss.value.tobytes() == ref_loss.value.tobytes()
+    npt.assert_array_equal(m.value, ref_m.value)
+    grads, ref_grads = tape.backward(loss), ref_tape.backward(ref_loss)
+    assert set(grads) == set(ref_grads) == set(model.trainable_parameters())
+    for p in grads:
+        assert grads[p].tobytes() == ref_grads[p].tobytes(), p.name
 
 
 @pytest.mark.parametrize(

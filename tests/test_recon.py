@@ -5,6 +5,7 @@ import pytest
 from mrfrecon.acquisition import AcquisitionOperator, make_trajectory, simulate_coil_maps
 from mrfrecon.dictionary import compress, compressed_atoms
 from mrfrecon.errors import ReconDivergence
+from mrfrecon.neuralprox import UnrolledModel
 from mrfrecon.recon import (
     PgdConfig,
     backprojection_baseline,
@@ -114,6 +115,65 @@ def test_step_validation(ls_problem):
         pgd_reconstruct(y, op, identity_prox, PgdConfig(iterations=0))
     with pytest.raises(ValueError):
         pgd_reconstruct(y, op, identity_prox, PgdConfig(iterations=2, step_sizes=-1.0))
+
+
+# --- the one PGD iteration against the complex-numpy loop it replaced --------
+
+
+def reference_pgd(y, op, prox, steps, equalize):
+    """PGD as pgd_reconstruct ran it on complex arrays before pgd_iterates:
+    the maps of every iterate, the final TSMI, and every fidelity."""
+    x = op.backproject(y, equalize=equalize)
+    b = op.adjoint(y)
+    ysq = float(np.vdot(y, y).real)
+    nx = op.normal(x)
+    fidelity = [ysq + float(np.vdot(x, nx - 2.0 * b).real)]
+    snapshots = [None]
+    for alpha in steps:
+        x, maps = prox(x + alpha * (b - nx))
+        nx = op.normal(x)
+        fidelity.append(ysq + float(np.vdot(x, nx - 2.0 * b).real))
+        snapshots.append(maps)
+    return snapshots, x, fidelity
+
+
+def _oracle_prox(kind, grid, sub):
+    if kind == "identity":
+        return identity_prox
+    if kind == "dictionary":
+        return make_dictionary_prox(grid, sub)
+    model = UnrolledModel.create(s=sub.s, iterations=3, width=4, seed=4, hidden=8)
+    model.decoder.output_scale = 0.8
+    return model.make_prox()
+
+
+@pytest.mark.parametrize("traj_kind", ["golden_radial", "cartesian_full"])
+@pytest.mark.parametrize("prox_kind", ["identity", "dictionary", "learned"])
+def test_pgd_reconstruct_equals_the_complex_numpy_loop(small_dict, traj_kind, prox_kind):
+    grid, sub = small_dict
+    n = 12
+    traj = make_trajectory(traj_kind, n, d=n, frames=grid.n_frames)
+    op = AcquisitionOperator(simulate_coil_maps(2, n), traj, sub)
+    rng = np.random.default_rng(21)
+    y = rng.standard_normal(op.kspace_shape) + 1j * rng.standard_normal(op.kspace_shape)
+    steps = np.array([0.5, 0.4, 0.3]) / op.estimate_operator_norm(iters=20)
+    equalize = prox_kind != "learned"  # neural-unrolled starts from the plain adjoint
+    prox = _oracle_prox(prox_kind, grid, sub)
+
+    maps, x, trace = pgd_reconstruct(
+        y, op, prox, PgdConfig(iterations=3, step_sizes=steps, init_equalize=equalize)
+    )
+    ref_snapshots, ref_x, ref_fidelity = reference_pgd(y, op, prox, steps, equalize)
+    npt.assert_array_equal(x, ref_x)
+    assert len(trace.snapshots) == len(ref_snapshots) == 4
+    for got, ref in zip(trace.snapshots, ref_snapshots):
+        if ref is None:
+            assert got is None
+            continue
+        for plane, ref_plane in zip((got.t1_ms, got.t2_ms, got.pd), (ref.t1_ms, ref.t2_ms, ref.pd)):
+            npt.assert_array_equal(plane, ref_plane)
+    assert maps is trace.snapshots[-1]
+    npt.assert_allclose(trace.fidelity, ref_fidelity, rtol=1e-12, atol=0)
 
 
 # --- dictionary prox ----------------------------------------------------------
