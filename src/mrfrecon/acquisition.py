@@ -1,10 +1,12 @@
 """The multi-coil, subspace-compressed non-uniform Fourier forward operator.
 
 Frame t of coil c samples the spectrum of S_c sum_i B_ti x_i along its
-trajectory. The basis row B_t commutes with the coil product and the FFT, so
-the s*C images S_c x_i take one FFT pass and B_t mixes their spectra just
-before frame t's gather: s*C FFTs whatever the frame count, and no (frames,
-C, N, N) array. The adjoint is the exact conjugate transpose of this chain.
+trajectory. The basis row B_t commutes with the coil product, the FFT and the
+interpolation, so the s*C images S_c x_i take one FFT pass: s*C FFTs whatever
+the frame count, and no (frames, C, N, N) array. Off-grid trajectories
+interpolate the s*C spectra at frame t's samples and apply B_t there;
+integer trajectories let B_t mix the spectra on the grid just before frame
+t's gather. The adjoint is the exact conjugate transpose of this chain.
 Density compensation exists only in the standalone back-projection path,
 never inside gradient iterations.
 

@@ -272,11 +272,11 @@ def train_config(cfg):
 def build_phantom_from_config(cfg):
     pc = cfg["phantom"]
     matrix = _at_least(cfg, "phantom.matrix", 8)
-    spec = {"preset": pc["preset"]} if pc["regions"] is None else {"regions": pc["regions"]}
+    key = "preset" if pc["regions"] is None else "regions"
     try:
-        return make_phantom(spec, matrix)
+        return make_phantom({key: pc[key]}, matrix)
     except ValueError as exc:
-        raise ConfigError(f"phantom: {exc}") from None
+        raise ConfigError(f"phantom.{key}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -480,6 +480,8 @@ def load_model(directory):
     )
     model.decoder.output_scale = arch["decoder_output_scale"]
     for p in model.encoder.parameters() + model.decoder.parameters() + [model.log_alpha]:
+        if p.name not in arrays:
+            raise ValueError(f"checkpoint {directory}: weight {p.name} is missing")
         if arrays[p.name].shape != p.value.shape:
             raise ValueError(f"checkpoint {directory}: {p.name} is not of shape {p.value.shape}")
         p.value = arrays[p.name].astype(np.float64)

@@ -19,9 +19,17 @@ evaluated exactly as gridding with a single tap on the N grid itself: integer
 frequencies alias exactly, so this path is both faster and error-free.
 
 Both plans transform K channel images, not frames: one FFT pass covers them,
-and a (frames x K) mixing matrix forms each chunk of frame spectra just before
-the gather (the adjoint scatters, folds back through the conjugate mixing, and
-makes one inverse pass). The identity mixing is the per-frame transform.
+and a (frames x K) mixing matrix takes them to the frames. Off-grid plans mix
+at the samples: one sparse interpolation matrix (a row of W*W tap weights per
+sample, Fessler & Sutton, IEEE TSP 2003) reads every channel spectrum at every
+sample, and each frame's mixing row combines its K values there, so no frame
+spectrum on the oversampled grid is ever formed. Their adjoint spreads each
+sample over the channels through the conjugate mixing, applies the
+conjugate-transposed matrix and makes one inverse pass. Integer trajectories
+mix on the grid instead: each chunk of frame spectra is formed from the
+channel spectra just before the gather (the adjoint scatters and folds back
+through the conjugate mixing), since full Cartesian frames read every grid
+point anyway. The identity mixing is the per-frame transform.
 
 Both plans also build the kernel of the exact (non-gridded) normal operator:
 a frame-weighted sum of point-spread functions psf_t(r) = sum_j
@@ -38,6 +46,7 @@ import math
 
 import numpy as np
 import scipy.fft as _fft
+import scipy.sparse as _sparse
 
 OVERSAMP = 2.0  # gridding: oversampled grid size per image size
 KERNEL_WIDTH = 4  # gridding: Kaiser-Bessel taps per axis
@@ -82,8 +91,9 @@ def _scatter_add(idx, vals, size):
 
 
 def _mix(m, spec):
-    """m @ spec for complex (K, M) spectra. A matrix with no imaginary part
-    acts on their interleaved re/im float view, which is exact."""
+    """m @ spec for complex spectra, batched as matmul is. A matrix with no
+    imaginary part acts on their interleaved re/im float view, which is
+    exact."""
     if np.any(m.imag):
         return m @ spec
     return (m.real @ spec.view(np.float64)).view(np.complex128)
@@ -170,7 +180,8 @@ class GriddingPlan:
 
     Precomputes, per frame and sample, the W*W flattened oversampled-grid
     indices and the complex kernel weights (kernel value times the centering
-    phase).
+    phase), and from them the sparse interpolation matrix whose row per
+    sample holds those weights.
     """
 
     def __init__(self, matrix, points):
@@ -207,6 +218,12 @@ class GriddingPlan:
         self.width = w
         self.frames, self.d = pts.shape[:2]
         self.points = pts
+        # (F*d, g^2) CSR, rows frame-major like the samples
+        rows = self.frames * self.d
+        self.interp = _sparse.csr_array(
+            (self.weights.ravel(), self.flat_index.ravel(), np.arange(0, rows * w * w + 1, w * w)),
+            shape=(rows, g * g),
+        )
 
         # image-domain apodization correction (separable)
         t = (np.arange(n) - n // 2) / float(g)
@@ -218,8 +235,96 @@ class GriddingPlan:
         images sum_k mixing[t, k] images[k]; mixing is (F, K), the identity
         (one image per frame) by default.
 
-        One deapodized, oversampled FFT pass over the K*B channel images; each
-        chunk of frames then mixes its spectra from theirs and gathers.
+        One deapodized, oversampled FFT pass over the K*B channel images; the
+        interpolation matrix then reads every channel spectrum at every
+        sample, and each sample's basis row mixes its K values there.
+        """
+        k, b = images.shape[:2]
+        mixing = np.eye(k) if mixing is None else mixing
+        spec = _oversampled_fft2(images / self.apod, self.grid).reshape(k * b, -1)
+        at = self.interp @ np.ascontiguousarray(spec.T)  # (F*d, K*B)
+        f = len(mixing)
+        out = _mix(mixing[:, None, None], at.reshape(f, self.d, k, b))  # (F, d, 1, B)
+        return np.ascontiguousarray(out.reshape(f, self.d, b).transpose(0, 2, 1))
+
+    def adjoint(self, samples, mixing=None):
+        """Samples (F, B, d) -> channel images (K, B, N, N); the exact
+        transpose of forward with the same mixing.
+
+        Each sample is spread over the K channels through conj(mixing), the
+        conjugate-transposed interpolation matrix sums the channel spectra
+        from the samples, and one inverse FFT pass follows.
+        """
+        f, b = samples.shape[:2]
+        mixing = np.eye(f) if mixing is None else mixing
+        k = mixing.shape[1]
+        # G^H z = conj(G^T conj(z)), and G^T is a CSC view of G's arrays
+        at = mixing[:, None, :, None] * samples.conj().transpose(0, 2, 1)[:, :, None]
+        spec = self.interp.T @ at.reshape(f * self.d, k * b)  # (g^2, K*B)
+        spec = np.conj(spec, out=spec).T.reshape(k, b, self.grid, self.grid)
+        return _oversampled_fft2_adjoint(spec, self.matrix) / self.apod
+
+    def normal_kernel(self, basis):
+        """Normal-operator spectrum of a real (frames, s) basis on the 2N grid:
+        real ((2N)^2, s, s) blocks sum_t B_ti B_tj fft(psf_t) / (2N)^2,
+        frequency-major.
+
+        Each psf_t is the direct NUDFT sum at every offset of the 2N grid,
+        evaluated as a (2N x d) @ (d x 2N) product of separable exponentials,
+        so the kernel is exact rather than gridded. The offset -N row and
+        column stay zero: no pixel pair of the cropped output is N apart, and
+        without them every psf_t is exactly Hermitian, so the spectrum is real.
+        Only the s(s+1)/2 pairs i <= j are built; PSFs are folded in one frame
+        chunk at a time, the real weights acting on their float view.
+        """
+        n, p = self.matrix, 2 * self.matrix
+        weights, rows, cols = _pair_weights(basis)
+        weights = weights / (p * p)
+        # offsets 0..N-1, then -N (left zero), then -(N-1)..-1 as conjugates
+        r = np.arange(n)
+        kernel = np.zeros((weights.shape[1], p * p), dtype=np.complex128)
+        for lo in range(0, self.frames, _FRAME_CHUNK):
+            hi = min(lo + _FRAME_CHUNK, self.frames)
+            ex, ey = (np.zeros((hi - lo, self.d, p), dtype=np.complex128) for _ in range(2))
+            for axis, e in enumerate((ex, ey)):
+                e[..., :n] = np.exp((2j * np.pi / n) * self.points[lo:hi, :, axis, None] * r)
+                e[..., n + 1 :] = e[..., n - 1 : 0 : -1].conj()
+            psf = np.matmul(ey.transpose(0, 2, 1), ex).reshape(hi - lo, -1)  # (frames, ry*rx)
+            kernel += (weights[lo:hi].T @ psf.view(np.float64)).view(np.complex128)
+        spectra = _fft.fft2(kernel.reshape(-1, p, p), overwrite_x=True, workers=_FFT_WORKERS)
+        return _pair_kernel_blocks(spectra.real.reshape(-1, p * p).T, rows, cols)
+
+
+class CartesianExactPlan:
+    """Exact sampler for integer-frequency trajectories: gridding with one
+    tap on the N grid itself.
+
+    Integer frequencies fall on grid bins (k mod N) and alias exactly, so
+    nothing needs deapodizing; the tap weight (-1)^(kx+ky) accounts for the
+    centered-image convention exactly.
+    """
+
+    def __init__(self, matrix, points):
+        n = matrix
+        pts = np.round(np.asarray(points)).astype(np.int64)
+        ix = np.mod(pts[..., 0], n)
+        iy = np.mod(pts[..., 1], n)
+        self.matrix = self.grid = n
+        self.width = 1
+        self.flat_index = (iy * n + ix)[..., None]  # (frames, d, 1)
+        self.weights = np.where((pts[..., 0] + pts[..., 1]) % 2 == 0, 1.0, -1.0)[..., None]
+        self.frames, self.d = pts.shape[:2]
+        self.apod = 1.0
+
+    def forward(self, images, mixing=None):
+        """Channel images (K, B, N, N) -> samples (F, B, d) of the frame
+        images sum_k mixing[t, k] images[k]; mixing is (F, K), the identity
+        (one image per frame) by default.
+
+        One FFT pass over the K*B channel images on the N grid; each chunk of
+        frames then mixes its spectra from theirs (one BLAS product) and
+        gathers. A full Cartesian frame reads every grid point, so mixing at
+        its samples would do the same work without BLAS.
         """
         k, b = images.shape[:2]
         g = self.grid
@@ -255,58 +360,6 @@ class GriddingPlan:
             grids = _scatter_add(idx, vals, nf * b * g * g).reshape(nf, -1)
             spec += _mix(mixing[lo:hi].conj().T, grids)
         return _oversampled_fft2_adjoint(spec.reshape(-1, b, g, g), n) / self.apod
-
-    def normal_kernel(self, basis):
-        """Normal-operator spectrum of a real (frames, s) basis on the 2N grid:
-        real ((2N)^2, s, s) blocks sum_t B_ti B_tj fft(psf_t) / (2N)^2,
-        frequency-major.
-
-        Each psf_t is the direct NUDFT sum at every offset of the 2N grid,
-        evaluated as a (2N x d) @ (d x 2N) product of separable exponentials,
-        so the kernel is exact rather than gridded. The offset -N row and
-        column stay zero: no pixel pair of the cropped output is N apart, and
-        without them every psf_t is exactly Hermitian, so the spectrum is real.
-        Only the s(s+1)/2 pairs i <= j are built; PSFs are folded in one frame
-        chunk at a time, the real weights acting on their float view.
-        """
-        n, p = self.matrix, 2 * self.matrix
-        weights, rows, cols = _pair_weights(basis)
-        weights = weights / (p * p)
-        # offsets 0..N-1, then -N (left zero), then -(N-1)..-1 as conjugates
-        r = np.arange(n)
-        kernel = np.zeros((weights.shape[1], p * p), dtype=np.complex128)
-        for lo in range(0, self.frames, _FRAME_CHUNK):
-            hi = min(lo + _FRAME_CHUNK, self.frames)
-            ex, ey = (np.zeros((hi - lo, self.d, p), dtype=np.complex128) for _ in range(2))
-            for axis, e in enumerate((ex, ey)):
-                e[..., :n] = np.exp((2j * np.pi / n) * self.points[lo:hi, :, axis, None] * r)
-                e[..., n + 1 :] = e[..., n - 1 : 0 : -1].conj()
-            psf = np.matmul(ey.transpose(0, 2, 1), ex).reshape(hi - lo, -1)  # (frames, ry*rx)
-            kernel += (weights[lo:hi].T @ psf.view(np.float64)).view(np.complex128)
-        spectra = _fft.fft2(kernel.reshape(-1, p, p), overwrite_x=True, workers=_FFT_WORKERS)
-        return _pair_kernel_blocks(spectra.real.reshape(-1, p * p).T, rows, cols)
-
-
-class CartesianExactPlan(GriddingPlan):
-    """Exact sampler for integer-frequency trajectories: gridding with one
-    tap on the N grid itself.
-
-    Integer frequencies fall on grid bins (k mod N) and alias exactly, so
-    nothing needs deapodizing; the tap weight (-1)^(kx+ky) accounts for the
-    centered-image convention exactly.
-    """
-
-    def __init__(self, matrix, points):
-        n = matrix
-        pts = np.round(np.asarray(points)).astype(np.int64)
-        ix = np.mod(pts[..., 0], n)
-        iy = np.mod(pts[..., 1], n)
-        self.matrix = self.grid = n
-        self.width = 1
-        self.flat_index = (iy * n + ix)[..., None]  # (frames, d, 1)
-        self.weights = np.where((pts[..., 0] + pts[..., 1]) % 2 == 0, 1.0, -1.0)[..., None]
-        self.frames, self.d = pts.shape[:2]
-        self.apod = 1.0
 
     def normal_kernel(self, basis):
         """Normal-operator spectrum of a real (frames, s) basis on the N grid:

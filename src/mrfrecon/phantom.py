@@ -140,9 +140,9 @@ def make_phantom(spec, matrix):
     """Rasterize a phantom from a preset name or a region list.
 
     spec is either {"preset": name} / a preset name string, or
-    {"regions": [...]} with entries holding cx, cy, a, b, angle_deg, t1, t2,
-    pd. Later regions overwrite earlier ones; the mask is the union of all
-    ellipses. Deterministic.
+    {"regions": [...]}, a non-empty list of entries holding cx, cy, a, b,
+    angle_deg, t1, t2, pd. Later regions overwrite earlier ones; the mask is
+    the union of all ellipses. Deterministic.
     """
     if matrix < 8:
         raise ValueError("matrix must be >= 8")
@@ -150,6 +150,8 @@ def make_phantom(spec, matrix):
         spec = {"preset": spec}
     if "regions" in spec:
         raw = spec["regions"]
+        if not raw:
+            raise ValueError("empty region list; a phantom needs at least one region")
     else:
         preset = spec.get("preset", "default")
         if preset not in PRESETS:

@@ -309,6 +309,15 @@ def test_unknown_phantom_preset_is_a_config_error(pipeline, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_empty_phantom_region_list_is_a_config_error(pipeline, tmp_path):
+    root, _ = pipeline
+    cfg = write_config(tmp_path, {"phantom.regions": []})
+    r = run_cli("simulate", "--config", cfg, "--dict", root / "dict", "--out", tmp_path / "out")
+    assert r.returncode == 2, r.stderr
+    assert "phantom.regions" in r.stderr
+    assert not (tmp_path / "out").exists()
+
+
 # former config keys, each with its last default: now each is an unknown key
 DELETED_KEYS = {
     "recon.method": "dm-pgd",
@@ -785,6 +794,23 @@ def test_checkpoint_weight_of_the_wrong_shape_is_a_one_line_runtime_error(
     assert r.returncode == 1, r.stderr
     lines = r.stderr.strip().splitlines()
     assert len(lines) == 1 and str(ckpt) in lines[0] and name in lines[0], r.stderr
+    assert not (tmp_path / "rec").exists()
+
+
+def test_checkpoint_missing_a_weight_is_a_one_line_runtime_error(pipeline, tmp_path):
+    # a checkpoint whose weights list lacks enc_w1; its file stays on disk
+    model = UnrolledModel.create(s=TINY_CONFIG["subspace"]["s"], iterations=3, width=4, hidden=8)
+    ckpt = tmp_path / "ckpt"
+    save_model(ckpt, model)
+    manifest = read_json(ckpt / "checkpoint.json")
+    manifest["weights"].remove("enc_w1")
+    (ckpt / "checkpoint.json").write_text(json.dumps(manifest))
+    cfg = write_config(tmp_path, {"recon.iterations": 3})
+    r = _neural_unrolled(pipeline, ckpt, cfg, tmp_path / "rec")
+    assert r.returncode == 1, r.stderr
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1 and str(ckpt) in lines[0], r.stderr
+    assert "enc_w1" in lines[0] and "missing" in lines[0], r.stderr
     assert not (tmp_path / "rec").exists()
 
 

@@ -109,6 +109,76 @@ def test_zero_input_maps_to_zero(random_case):
 
 
 # ---------------------------------------------------------------------------
+# oracle: the off-grid path (interpolate every channel spectrum at the samples,
+# mix there) against the mix-on-grid path it replaced, copied here
+
+_GRID_CHUNK = 64
+
+
+def _grid_forward(plan, images, mixing=None):
+    """Mix each chunk of frames' (2N)^2 spectra from the channel spectra, then
+    gather their W*W taps."""
+    k, b = images.shape[:2]
+    g = plan.grid
+    mixing = np.eye(k) if mixing is None else mixing
+    spec = np.fft.fft2(images / plan.apod, s=(g, g)).reshape(k, -1)
+    f = len(mixing)
+    out = np.empty((f, b, plan.d), dtype=np.complex128)
+    for lo in range(0, f, _GRID_CHUNK):
+        hi = min(lo + _GRID_CHUNK, f)
+        frames = (mixing[lo:hi] @ spec).ravel()  # (frames, B, g^2)
+        offs = (np.arange((hi - lo) * b) * (g * g)).reshape(hi - lo, b, 1, 1)
+        gathered = frames[plan.flat_index[lo:hi, None] + offs]
+        out[lo:hi] = np.sum(gathered * plan.weights[lo:hi, None], axis=3)
+    return out
+
+
+def _grid_adjoint(plan, samples, mixing=None):
+    """Scatter each chunk of frames onto its grids, fold them into the channel
+    spectra through conj(mixing), then one inverse transform."""
+    f, b = samples.shape[:2]
+    n, g = plan.matrix, plan.grid
+    mixing = np.eye(f) if mixing is None else mixing
+    spec = np.zeros((mixing.shape[1], b * g * g), dtype=np.complex128)
+    for lo in range(0, f, _GRID_CHUNK):
+        hi = min(lo + _GRID_CHUNK, f)
+        nf = hi - lo
+        vals = samples[lo:hi, :, :, None] * plan.weights[lo:hi, None].conj()
+        offs = (np.arange(nf * b) * (g * g)).reshape(nf, b, 1, 1)
+        grids = np.zeros(nf * b * g * g, dtype=np.complex128)
+        np.add.at(grids, (plan.flat_index[lo:hi, None] + offs).ravel(), vals.ravel())
+        spec += mixing[lo:hi].conj().T @ grids.reshape(nf, -1)
+    spec = spec.reshape(-1, b, g, g)
+    return np.fft.ifft2(spec)[..., :n, :n] * (g * g) / plan.apod
+
+
+@pytest.mark.parametrize("coils", [1, 3])
+@pytest.mark.parametrize("frames", [12, 70])
+@pytest.mark.parametrize("mixing", ["real", "complex", "identity"])
+def test_off_grid_h_and_hh_match_mix_on_grid(mixing, frames, coils):
+    n, s = 16, 3
+    rng = np.random.default_rng(frames + coils)
+    plan = nufft.GriddingPlan(n, rng.uniform(-n / 2, n / 2, (frames, 20, 2)))
+    m = {
+        "real": rng.standard_normal((frames, s)),
+        "complex": rng.standard_normal((frames, s)) + 1j * rng.standard_normal((frames, s)),
+        "identity": None,
+    }[mixing]
+    k = frames if m is None else s
+    x = rng.standard_normal((k, coils, n, n)) + 1j * rng.standard_normal((k, coils, n, n))
+    y = rng.standard_normal((frames, coils, 20)) + 1j * rng.standard_normal((frames, coils, 20))
+    for got, ref in (
+        (plan.forward(x, m), _grid_forward(plan, x, m)),
+        (plan.adjoint(y, m), _grid_adjoint(plan, y, m)),
+    ):
+        assert got.shape == ref.shape
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+    lhs = np.vdot(y, plan.forward(x, m))
+    rhs = np.vdot(plan.adjoint(y, m), x)
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+# ---------------------------------------------------------------------------
 # guard: every FFT in the package runs in nufft, on the FFT workers setting, so
 # that --threads reaches each transform and a trace of nufft's FFTs sees them all
 

@@ -42,10 +42,9 @@ def test_default_preset_values_plausible():
     assert np.all(ph.maps.t1_ms[~m] == 0)
 
 
-def test_empty_region_list():
-    ph = make_phantom({"regions": []}, 16)
-    assert not ph.maps.mask.any()
-    assert np.all(ph.maps.t1_ms == 0)
+def test_empty_region_list_rejected():
+    with pytest.raises(ValueError, match="empty region list"):
+        make_phantom({"regions": []}, 16)
 
 
 def test_later_regions_overwrite():
