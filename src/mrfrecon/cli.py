@@ -143,24 +143,47 @@ def load_config(path):
             user = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
     return _merge_config(user, DEFAULT_CONFIG)
 
 
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false"}
+
+
+def _is_kind(value, kind):
+    """Whether a JSON value is of `kind`: int, float (any number) or bool.
+    JSON true and false are neither integers nor numbers."""
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    return isinstance(value, int if kind is int else (int, float))
+
+
+def _setting(cfg, key, kind):
+    """The value at the dotted config `key`; a config error unless it is of
+    `kind` (see `_is_kind`). Numbers come back as float."""
+    value = cfg
+    for name in key.split("."):
+        value = value[name]
+    if not _is_kind(value, kind):
+        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {json.dumps(value)}")
+    return float(value) if kind is float else value
+
+
 def _at_least(cfg, key, low):
     """The integer at the dotted config `key`; a config error below `low`."""
-    section, name = key.split(".")
-    value = int(cfg[section][name])
+    value = _setting(cfg, key, int)
     if value < low:
         raise ConfigError(f"{key} must be >= {low}")
     return value
 
 
 def _noise_sigma(cfg):
-    sigma = float(cfg["noise"]["sigma"])
+    sigma = _setting(cfg, "noise.sigma", float)
     if sigma < 0:
         raise ConfigError("noise.sigma must be >= 0")
     return sigma
@@ -184,10 +207,10 @@ def build_sequence(cfg):
     try:
         return SequenceParams(
             flip_angles_rad=flips,
-            tr_ms=float(sc["tr_ms"]),
-            te_ms=float(sc["te_ms"]),
-            ti_ms=float(sc["ti_ms"]),
-            invert_first=bool(sc["invert_first"]),
+            tr_ms=_setting(cfg, "sequence.tr_ms", float),
+            te_ms=_setting(cfg, "sequence.te_ms", float),
+            ti_ms=_setting(cfg, "sequence.ti_ms", float),
+            invert_first=_setting(cfg, "sequence.invert_first", bool),
         )
     except ValueError as exc:
         raise ConfigError(f"sequence: {exc}") from None
@@ -196,12 +219,11 @@ def build_sequence(cfg):
 def build_grid_values(cfg):
     values = []
     for name in ("t1", "t2"):
-        g = cfg["grid"][name]
-        lo, hi, count = float(g["min"]), float(g["max"]), int(g["count"])
+        lo = _setting(cfg, f"grid.{name}.min", float)
+        hi = _setting(cfg, f"grid.{name}.max", float)
+        count = _at_least(cfg, f"grid.{name}.count", 1)
         if lo <= 0 or hi <= lo:
             raise ConfigError(f"grid.{name}.min/max must satisfy 0 < min < max")
-        if count < 1:
-            raise ConfigError(f"grid.{name}.count must be >= 1")
         values.append(np.geomspace(lo, hi, count))
     if valid_pairs(*values)[0].size == 0:
         raise ConfigError("grid.t2 lies above grid.t1: no (t1, t2) pair has t2 <= t1")
@@ -233,14 +255,20 @@ def pgd_config(cfg):
     recon.power_iters caps the normal-operator applications of the 1/lambda
     step estimate (Lanczos, which usually stops well before the cap).
     """
-    rc = cfg["recon"]
     iterations = _at_least(cfg, "recon.iterations", 1)
     power_iters = _at_least(cfg, "recon.power_iters", 1)
+    steps = cfg["recon"]["step_size"]
+    if steps is not None and not all(
+        _is_kind(v, float) for v in (steps if isinstance(steps, list) else [steps])
+    ):
+        raise ConfigError(
+            f"recon.step_size must be a number or a list of numbers, got {json.dumps(steps)}"
+        )
     try:
         return PgdConfig(
             iterations=iterations,
-            step_sizes=rc["step_size"],
-            record_trace=bool(rc["record_trace"]),
+            step_sizes=steps,
+            record_trace=_setting(cfg, "recon.record_trace", bool),
             power_iters=power_iters,
         )
     except ValueError as exc:
@@ -248,24 +276,35 @@ def pgd_config(cfg):
 
 
 def train_config(cfg):
-    """The train block's TrainConfig, checked before any work is done."""
+    """The train block's TrainConfig, checked before any work is done; every
+    other train key is checked here too, so the reads after the training
+    data is simulated cannot fail."""
     tc = cfg["train"]
-    if int(tc["batch_size"]) != 1:
+    if _setting(cfg, "train.batch_size", int) != 1:
         raise ConfigError("train.batch_size must be 1; minibatching is not implemented")
     for key in ("epochs", "n_train", "width", "decoder_epochs", "decoder_hidden"):
         _at_least(cfg, f"train.{key}", 1)
     if tc["encoder_epochs"] is not None:
         _at_least(cfg, "train.encoder_epochs", 1)
-    if len(tc["beta"]) != 3 or min(tc["beta"]) < 0:
+    _at_least(cfg, "train.decoder_offgrid", 0)
+    for key in ("decoder_lr", "decoder_threshold"):
+        _setting(cfg, f"train.{key}", float)
+    _setting(cfg, "train.attention", bool)
+    beta = tc["beta"]
+    if not (
+        isinstance(beta, list) and len(beta) == 3
+        and all(_is_kind(b, float) for b in beta) and min(beta) >= 0
+    ):
         raise ConfigError("train.beta must be three weights >= 0")
-    if float(tc["lambda"]) < 0:
+    lam = _setting(cfg, "train.lambda", float)
+    if lam < 0:
         raise ConfigError("train.lambda must be >= 0")
     return TrainConfig(
-        beta=tuple(tc["beta"]),
-        lam=float(tc["lambda"]),
-        epochs=int(tc["epochs"]),
-        lr=float(tc["lr"]),
-        seed=int(tc["seed"]),
+        beta=tuple(beta),
+        lam=lam,
+        epochs=tc["epochs"],
+        lr=_setting(cfg, "train.lr", float),
+        seed=_at_least(cfg, "train.seed", 0),
     )
 
 
@@ -344,7 +383,7 @@ def cmd_build_dict(args):
     t1_values, t2_values = build_grid_values(cfg)
     k_max = _at_least(cfg, "epg.k_max", 2)
     s_max = min(seq.n_frames, valid_pairs(t1_values, t2_values)[0].size)
-    s = int(cfg["subspace"]["s"])
+    s = _setting(cfg, "subspace.s", int)
     if not 1 <= s <= s_max:
         raise ConfigError(f"subspace.s must lie in [1, {s_max}]")
     grid = build_dictionary(seq, t1_values, t2_values, k_max=k_max)
@@ -373,7 +412,7 @@ def cmd_build_dict(args):
 def cmd_simulate(args):
     cfg = load_config(args.config)
     k_max = _at_least(cfg, "epg.k_max", 2)
-    noise = NoiseSpec(sigma=_noise_sigma(cfg), seed=int(cfg["noise"]["seed"]))
+    noise = NoiseSpec(sigma=_noise_sigma(cfg), seed=_at_least(cfg, "noise.seed", 0))
     grid, sub = load_dictionary(args.dict)
     phantom = build_phantom_from_config(cfg)
     op, traj = build_operator(cfg, phantom.maps.shape[0], sub)
@@ -407,10 +446,12 @@ def cmd_reconstruct(args):
     model = None
     if neural:
         model, _ = load_model(args.model)
-        rc = cfg["recon"]  # neural-unrolled runs the checkpoint's iterations and steps
-        if method == "neural-unrolled" and rc["step_size"] is not None:
+        # neural-unrolled runs the checkpoint's iterations and steps
+        if method == "neural-unrolled" and cfg["recon"]["step_size"] is not None:
             raise ConfigError("recon.step_size cannot be set for neural-unrolled: it uses the learned steps")
-        if method == "neural-unrolled" and int(rc["iterations"]) != model.iterations:
+        if method == "neural-unrolled" and (
+            _setting(cfg, "recon.iterations", int) != model.iterations
+        ):
             raise ConfigError(f"recon.iterations must equal the checkpoint's {model.iterations}")
 
     op = AcquisitionOperator(coil_maps, traj, sub)
@@ -427,7 +468,7 @@ def cmd_reconstruct(args):
             pcfg = PgdConfig(
                 iterations=model.iterations,
                 step_sizes=model.step_sizes,
-                record_trace=bool(cfg["recon"]["record_trace"]),
+                record_trace=_setting(cfg, "recon.record_trace", bool),
                 init_equalize=False,
             )
         maps, _, trace = pgd_reconstruct(y, op, prox, pcfg)

@@ -110,11 +110,21 @@ def build_dictionary(seq, t1_values_ms=None, t2_values_ms=None, k_max=DEFAULT_K_
 
 def compute_subspace(grid, s):
     """Top-s right singular vectors of the atom matrix (temporal directions);
-    a real SVD for real atoms."""
+    a real SVD for real atoms.
+
+    A grid with at least twice as many atoms as frames is first reduced to
+    the (L, L) R factor of its QR decomposition, which has the same singular
+    values and right singular vectors (the R-SVD). LAPACK's divide-and-conquer
+    SVD takes that same route through a tall matrix, so the basis and the
+    singular values come out bit for bit as from the direct SVD; the left
+    factors it would form and discard are never built.
+    """
     n_atoms, n_frames = grid.atoms.shape
     if not 1 <= s <= min(n_frames, n_atoms):
         raise ValueError(f"s must lie in [1, {min(n_frames, n_atoms)}], got {s}")
-    _, sv, vh = np.linalg.svd(grid.atoms, full_matrices=False)
+    tall = n_atoms >= 2 * n_frames
+    a = np.linalg.qr(grid.atoms, mode="r") if tall else grid.atoms
+    sv, vh = np.linalg.svd(a, full_matrices=False)[1:]
     return Subspace(basis=vh[:s].conj().T.copy(), singular_values=sv)
 
 

@@ -20,6 +20,9 @@ the whole state as a single matrix product (it runs through BLAS, under the
 package's single-thread pin), the readout of F+_0 scaled by E2(TE), and one
 write-back that folds the two relaxation intervals into E1(TR), E2(TR) and
 the Z_0 regrowth while shifting the orders; no array is allocated per frame.
+Each dephasing raises the highest populated order by one, so frame i (from
+0) mixes and writes back only orders below min(i + 1, k_max): the orders it
+skips are exactly zero, and the signal is the same bits as over all k_max.
 """
 
 from dataclasses import dataclass
@@ -99,6 +102,10 @@ class TissueParams:
 def simulate_epg_batch(seq, t1_ms, t2_ms, k_max=DEFAULT_K_MAX):
     """Simulate unit-PD fingerprints for a batch of (T1, T2) pairs.
 
+    Before the RF of frame i (from 0) only configuration orders below
+    min(i + 1, k_max) can be non-zero, so that frame's RF product and
+    write-back run over those orders alone.
+
     Args:
         seq: SequenceParams shared by the whole batch.
         t1_ms, t2_ms: 1-D arrays of equal length n.
@@ -119,7 +126,8 @@ def simulate_epg_batch(seq, t1_ms, t2_ms, k_max=DEFAULT_K_MAX):
     n = t1.size
     # state[0, k] = F_k, state[1, k] = (F_{-k})*, state[2, k] = Z_k; order 0
     # of F+ and F-* always agree. Orders-major, so a per-pair factor
-    # broadcasts over the last axis and the RF is one (3, 3) @ (3, k_max*n).
+    # broadcasts over the last axis and the RF is one (3, 3) @ (3, k*n) over
+    # the first k orders.
     state = np.zeros((3, k_max, n))
     mixed = np.empty_like(state)
     # an ideal inversion takes Z_0 to -1, which relaxes over TI to 1 - 2 E1(TI)
@@ -138,18 +146,32 @@ def simulate_epg_batch(seq, t1_ms, t2_ms, k_max=DEFAULT_K_MAX):
     rf = np.array([[c2, -s2, sa], [-s2, c2, sa], [-0.5 * sa, -0.5 * sa, ca]])
     rf = np.ascontiguousarray(rf.transpose(2, 0, 1))
 
-    flat_state = state.reshape(3, -1)
-    flat_mixed = mixed.reshape(3, -1)
+    def frame_views(k):
+        """The RF operands of a frame whose populated orders are < k, then the
+        (source, target) of its F+, F-* and Z write-back: relaxing over TR and
+        dephasing moves F_j to F_{j+1} (orders past k_max - 1 drop) and
+        (F_{-j})* to order j - 1. (F_{-(k-1)})* is never written, so it keeps
+        its initial 0, which is what the unpopulated order k would bring."""
+        up = min(k + 1, k_max)
+        return (
+            state[:, :k].reshape(3, -1), mixed[:, :k].reshape(3, -1),
+            (mixed[0, : up - 1], state[0, 1:up]),
+            (mixed[1, 1:k], state[1, : k - 1]),
+            (mixed[2, :k], state[2, :k]),
+        )
+
+    # frame i works on k = min(i + 1, k_max) orders; views are built once, as
+    # per-frame slicing would cost more than the skipped orders save at small n
+    views = [frame_views(k) for k in range(1, min(seq.n_frames, k_max) + 1)]
     signal = np.empty((n, seq.n_frames))
     for i in range(seq.n_frames):
+        flat_state, flat_mixed, fp, fm, z = views[min(i, k_max - 1)]
         np.matmul(rf[i], flat_state, out=flat_mixed)
         np.multiply(mixed[0, 0], e2_te, out=signal[:, i])
-        # relax over TR, then dephase one order: F_k -> F_{k+1}, the new F_0
-        # is (F_{-1})*, and orders past k_max - 1 drop (state[1, -1] stays 0)
-        np.multiply(mixed[0, :-1], e2, out=state[0, 1:])
-        np.multiply(mixed[1, 1:], e2, out=state[1, :-1])
-        state[0, 0] = state[1, 0]
-        np.multiply(mixed[2], e1, out=state[2])
+        np.multiply(fp[0], e2, out=fp[1])
+        np.multiply(fm[0], e2, out=fm[1])
+        state[0, 0] = state[1, 0]  # the new F_0 is (F_{-1})*
+        np.multiply(z[0], e1, out=z[1])
         state[2, 0] += regrow
 
     if not np.all(np.isfinite(signal)):

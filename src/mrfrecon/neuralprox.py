@@ -347,7 +347,17 @@ def pretrain_encoder(dataset, op, encoder, cfg):
 
 
 def _sample_offgrid_pairs(rng, n, t1_range, t2_range):
-    """Log-uniform (T1, T2) pairs with T2 <= T1, rejection-sampled."""
+    """Log-uniform (T1, T2) pairs with T2 <= T1, rejection-sampled.
+
+    Raises ValueError when no draw can be accepted: the T2 range starts at
+    or above the end of the T1 range, unless both ranges are the same point.
+    """
+    (t1_lo, t1_hi), (t2_lo, t2_hi) = t1_range, t2_range
+    if not (t2_lo < t1_hi or t1_lo == t1_hi == t2_lo == t2_hi):
+        raise ValueError(
+            f"no off-grid pair with T2 <= T1 can be drawn: T1 range {t1_lo:g}-{t1_hi:g} ms, "
+            f"T2 range {t2_lo:g}-{t2_hi:g} ms"
+        )
     t1 = np.empty(n)
     t2 = np.empty(n)
     filled = 0

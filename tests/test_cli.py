@@ -29,12 +29,12 @@ TINY_CONFIG = {
 }
 
 
-def run_cli(*args, threads=None, env=None):
+def run_cli(*args, threads=None, env=None, timeout=None):
     cmd = [sys.executable, "-m", "mrfrecon"]
     if threads is not None:
         cmd += ["--threads", str(threads)]
     cmd += [str(a) for a in args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def write_config(tmp_path, overrides=None, name="config.json"):
@@ -460,6 +460,63 @@ def test_missing_config_file_is_config_error(tmp_path):
     assert r.returncode == 2
 
 
+def test_config_that_names_a_directory_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "cfg").mkdir()
+    argv = ["build-dict", "--config", str(tmp_path / "cfg"), "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    assert str(tmp_path / "cfg") in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+# Settings whose JSON type does not fit their key: integer keys take only
+# integers, number keys only numbers, boolean keys only true or false (a JSON
+# boolean is neither an integer nor a number). Each was once read through
+# int(), float() or bool(): rounded, taken by its truth value, or a crash.
+WRONG_TYPE_SETTINGS = [
+    ("build-dict", "subspace.s", 2.7),
+    ("build-dict", "subspace.s", True),
+    ("build-dict", "subspace.s", "ten"),
+    ("build-dict", "sequence.invert_first", "false"),
+    ("build-dict", "sequence.invert_first", 0),
+    ("build-dict", "sequence.tr_ms", None),
+    ("build-dict", "sequence.ti_ms", False),
+    ("build-dict", "grid.t1.count", "x"),
+    ("build-dict", "grid.t2.max", "600"),
+    ("build-dict", "epg.k_max", 30.5),
+    ("simulate", "noise.seed", 1.5),
+    ("simulate", "noise.sigma", "0.05"),
+    ("simulate", "coils.count", True),
+    ("simulate", "trajectory.r", 2.0),
+    ("reconstruct", "recon.record_trace", "no"),
+    ("reconstruct", "recon.step_size", True),
+    ("reconstruct", "recon.step_size", [0.1, "0.1"]),
+    ("train", "train.attention", "yes"),
+    ("train", "train.decoder_lr", "fast"),
+    ("train", "train.decoder_offgrid", 300.5),
+    ("train", "train.beta", [1.0, True, 0.6]),
+    ("train", "train.seed", False),
+]
+
+
+@pytest.mark.parametrize("command, key, value", WRONG_TYPE_SETTINGS)
+def test_setting_of_the_wrong_type_is_a_config_error_naming_its_key(
+    pipeline, tmp_path, capsys, command, key, value
+):
+    root, _ = pipeline
+    cfg = write_config(tmp_path, {**TINY_TRAIN, key: value})
+    inputs = {
+        "build-dict": [],
+        "simulate": ["--dict", root / "dict"],
+        "reconstruct": ["--data", root / "sim", "--dict", root / "dict", "--method", "dm-pgd"],
+        "train": ["--dict", root / "dict"],
+    }[command]
+    argv = [command, "--config", cfg, *inputs, "--out", tmp_path / "out"]
+    assert cli.main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_threads_validation(tmp_path):
     r = run_cli("eval", "--est", "x", "--truth", "y", "--out", "z", threads=0)
     assert r.returncode == 2
@@ -812,6 +869,24 @@ def test_checkpoint_missing_a_weight_is_a_one_line_runtime_error(pipeline, tmp_p
     assert len(lines) == 1 and str(ckpt) in lines[0], r.stderr
     assert "enc_w1" in lines[0] and "missing" in lines[0], r.stderr
     assert not (tmp_path / "rec").exists()
+
+
+def test_train_on_a_dictionary_with_no_offgrid_pair_is_a_one_line_runtime_error(tmp_path):
+    # one atom at T1 = T2 = 100 ms: no off-grid pair for the decoder has T2 <= T1
+    grid = {
+        "t1": {"min": 100.0, "max": 200.0, "count": 1},
+        "t2": {"min": 100.0, "max": 600.0, "count": 5},
+    }
+    cfg = write_config(tmp_path, {**TINY_TRAIN, "grid": grid, "subspace.s": 1})
+    r = run_cli("build-dict", "--config", cfg, "--out", tmp_path / "dict")
+    assert r.returncode == 0, r.stderr
+    r = run_cli(
+        "train", "--config", cfg, "--dict", tmp_path / "dict", "--out", tmp_path / "ckpt", timeout=120
+    )
+    assert r.returncode == 1, r.stderr
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1 and "T1 range 100-100 ms" in lines[0] and "T2 range 100-600 ms" in lines[0]
+    assert not (tmp_path / "ckpt").exists()
 
 
 def test_train_batch_size_other_than_one_rejected(pipeline, tmp_path):

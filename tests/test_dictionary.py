@@ -12,7 +12,7 @@ from mrfrecon.dictionary import (
     dictionary_match,
     valid_pairs,
 )
-from mrfrecon.epg import SequenceParams, simulate_epg_batch
+from mrfrecon.epg import SequenceParams, simulate_epg_batch, sinusoidal_flip_schedule
 
 
 def brute_force_match(voxel, unit_atoms, scale):
@@ -74,6 +74,38 @@ def test_singular_values_sorted_and_complete(small_dict):
     sv = sub.singular_values
     assert sv.shape[0] == min(grid.n_frames, grid.n_atoms)
     assert np.all(np.diff(sv) <= 1e-12)
+
+
+def _first_atoms(grid, m):
+    """The grid cut to its first m atoms."""
+    return DictionaryGrid(
+        grid.t1_values_ms, grid.t2_values_ms, grid.atoms[:m], grid.atom_norms[:m],
+        grid.atom_t1_ms[:m], grid.atom_t2_ms[:m], grid.seq,
+    )
+
+
+@pytest.fixture(scope="module")
+def benchmark_grid():
+    """L = 200 frames over a 30 x 25 log grid: 662 atoms, 3.3 atoms per frame."""
+    seq = SequenceParams(sinusoidal_flip_schedule(200), 10.0, 1.8, 18.0, True)
+    return build_dictionary(seq, np.geomspace(100.0, 4000.0, 30), np.geomspace(10.0, 600.0, 25))
+
+
+@pytest.mark.parametrize(
+    "n_atoms, r_factor", [(662, True), (400, True), (399, False), (150, False)]
+)
+def test_subspace_equals_the_direct_svd_bit_for_bit(benchmark_grid, monkeypatch, n_atoms, r_factor):
+    # grids with at least twice as many atoms as frames go through the R
+    # factor of the atoms' QR; shorter ones take the SVD of the atoms
+    grid = _first_atoms(benchmark_grid, n_atoms)
+    _, sv, vh = np.linalg.svd(grid.atoms, full_matrices=False)
+    qr_calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: qr_calls.append(kw) or qr(*a, **kw))
+    sub = compute_subspace(grid, 10)
+    assert qr_calls == ([{"mode": "r"}] if r_factor else [])
+    assert np.array_equal(sub.singular_values, sv)
+    assert np.array_equal(sub.basis, vh[:10].T)
 
 
 def test_subspace_s_out_of_range(small_dict):

@@ -170,6 +170,48 @@ def test_batch_kernel_matches_three_step_recursion(k_max, invert_first, ti_ms):
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def _every_order_reference(seq, t1, t2, k_max):
+    """The batch recursion as it ran before it skipped unpopulated orders:
+    every frame mixes and writes back all k_max orders."""
+    n = t1.size
+    state = np.zeros((3, k_max, n))
+    mixed = np.empty_like(state)
+    state[2, 0] = 1.0 - 2.0 * np.exp(-seq.ti_ms / t1) if seq.invert_first else 1.0
+    e2_te = np.exp(-seq.te_ms / t2)
+    e2 = np.exp(-seq.tr_ms / t2)
+    e1 = np.exp(-seq.tr_ms / t1)
+    e1_rem = np.exp(-(seq.tr_ms - seq.te_ms) / t1)
+    regrow = (1.0 - np.exp(-seq.te_ms / t1)) * e1_rem + (1.0 - e1_rem)
+    a = seq.flip_angles_rad
+    c2, s2, sa, ca = np.cos(a / 2.0) ** 2, np.sin(a / 2.0) ** 2, np.sin(a), np.cos(a)
+    rf = np.array([[c2, -s2, sa], [-s2, c2, sa], [-0.5 * sa, -0.5 * sa, ca]])
+    rf = np.ascontiguousarray(rf.transpose(2, 0, 1))
+    flat_state = state.reshape(3, -1)
+    flat_mixed = mixed.reshape(3, -1)
+    signal = np.empty((n, seq.n_frames))
+    for i in range(seq.n_frames):
+        np.matmul(rf[i], flat_state, out=flat_mixed)
+        np.multiply(mixed[0, 0], e2_te, out=signal[:, i])
+        np.multiply(mixed[0, :-1], e2, out=state[0, 1:])
+        np.multiply(mixed[1, 1:], e2, out=state[1, :-1])
+        state[0, 0] = state[1, 0]
+        np.multiply(mixed[2], e1, out=state[2])
+        state[2, 0] += regrow
+    return signal
+
+
+@pytest.mark.parametrize("k_max", [2, 3, 50])
+@pytest.mark.parametrize("n_frames", [1, 20, 120])
+@pytest.mark.parametrize("invert_first,ti_ms", [(False, 0.0), (True, 18.0)])
+def test_batch_kernel_equals_the_every_order_loop_bit_for_bit(k_max, n_frames, invert_first, ti_ms):
+    # the frame count falls below and above each k_max, so the populated
+    # orders reach the truncation in some runs and never in others
+    seq = SequenceParams(sinusoidal_flip_schedule(n_frames), 10.0, 1.8, ti_ms, invert_first)
+    t1, t2 = valid_pairs(np.geomspace(100.0, 4000.0, 6), np.geomspace(10.0, 600.0, 5))
+    ref = _every_order_reference(seq, t1, t2, k_max)
+    assert np.array_equal(simulate_epg_batch(seq, t1, t2, k_max=k_max), ref)
+
+
 def test_batch_rows_independent_of_batch_split():
     seq = SequenceParams(sinusoidal_flip_schedule(200), 10.0, 1.8, 18.0, True)
     # the benchmark's dictionary: a 30 x 25 log grid, 662 pairs with T2 <= T1

@@ -545,6 +545,59 @@ def test_decoder_pretraining_failure_raises(short_seq):
         )
 
 
+def _rejection_sampler_reference(rng, n, t1_range, t2_range):
+    """The off-grid sampler's draws as they were before it checked its ranges."""
+    t1, t2 = np.empty(n), np.empty(n)
+    filled = 0
+    while filled < n:
+        c1 = np.exp(rng.uniform(np.log(t1_range[0]), np.log(t1_range[1]), n))
+        c2 = np.exp(rng.uniform(np.log(t2_range[0]), np.log(t2_range[1]), n))
+        ok = c2 <= c1
+        take = min(int(ok.sum()), n - filled)
+        t1[filled : filled + take] = c1[ok][:take]
+        t2[filled : filled + take] = c2[ok][:take]
+        filled += take
+    return t1, t2
+
+
+@pytest.mark.parametrize(
+    "t1_range, t2_range",
+    [
+        ((100.0, 4000.0), (10.0, 600.0)),
+        ((100.0, 100.0), (50.0, 600.0)),  # one T1, part of the T2 range below it
+        ((100.0, 200.0), (150.0, 150.0)),  # one T2 inside the T1 range
+        ((100.0, 100.0), (100.0, 100.0)),  # one pair, T2 = T1
+    ],
+)
+def test_offgrid_sampler_draws_are_unchanged_when_a_pair_can_be_accepted(t1_range, t2_range):
+    got = neuralprox._sample_offgrid_pairs(np.random.default_rng(5), 40, t1_range, t2_range)
+    ref = _rejection_sampler_reference(np.random.default_rng(5), 40, t1_range, t2_range)
+    npt.assert_array_equal(got, ref)
+    assert np.all(got[1] <= got[0])
+
+
+@pytest.mark.parametrize(
+    "t1_range, t2_range, names",
+    [
+        ((100.0, 100.0), (100.0, 600.0), "T1 range 100-100 ms, T2 range 100-600 ms"),
+        ((50.0, 100.0), (100.0, 600.0), "T1 range 50-100 ms, T2 range 100-600 ms"),
+        ((100.0, 200.0), (300.0, 600.0), "T1 range 100-200 ms, T2 range 300-600 ms"),
+    ],
+)
+def test_offgrid_sampler_that_could_never_accept_a_pair_raises_naming_both_ranges(
+    t1_range, t2_range, names
+):
+    with pytest.raises(ValueError, match=names):
+        neuralprox._sample_offgrid_pairs(np.random.default_rng(0), 10, t1_range, t2_range)
+
+
+def test_decoder_pretraining_on_a_grid_with_no_offgrid_pair_raises(short_seq):
+    # one atom at T1 = T2 = 100 ms: every off-grid T2 would lie above every T1
+    grid = build_dictionary(short_seq, [100.0], np.geomspace(100.0, 600.0, 5))
+    with pytest.raises(ValueError, match="T2 <= T1"):
+        pretrain_bloch_decoder(grid, compute_subspace(grid, 1), epochs=1, n_offgrid=10, val_size=10)
+
+
 def test_model_checkpoint_roundtrip(tmp_path):
     model = tiny_model(seed=13)
     model.log_alpha.value[:] = [np.log(0.3), np.log(0.7)]
