@@ -149,18 +149,21 @@ def simulate_coil_maps(n_coils, matrix):
     return maps / rss
 
 
-def density_compensation(traj):
+def density_compensation(traj, integer=None):
     """Per-sample weights for the back-projection path.
 
     Flat 1/N^2 for integer Cartesian sampling: with an orthonormal full-length
     basis the frame sum hands back the identity, so r=1 back-projection is the
     exact inverse. Radial spokes get a ramp |k| with area normalization.
     Approximate by design: only the standalone back-projection uses these
-    weights.
+    weights. `integer` says whether the trajectory is integer, as its plan
+    already decided; by default it is decided from the points.
     """
     n = traj.matrix
     f, d = traj.frames, traj.d
-    if nufft.is_integer_trajectory(traj.points, n):
+    if integer is None:
+        integer = nufft.is_integer_trajectory(traj.points, n)
+    if integer:
         return np.full((f, d), 1.0 / (n * n), dtype=float)
     radius = np.hypot(traj.points[..., 0], traj.points[..., 1])
     dk = n / float(d)
@@ -198,7 +201,9 @@ class AcquisitionOperator:
         self.matrix = trajectory.matrix
         self.n_coils = maps.shape[0]
         self.plan = nufft.make_plan(trajectory.matrix, trajectory.points)
-        self.dc_weights = density_compensation(trajectory)
+        self.dc_weights = density_compensation(
+            trajectory, isinstance(self.plan, nufft.CartesianExactPlan)
+        )
         self._bp_mixing_inv = None
         self._normal_kernel = None
 
@@ -237,13 +242,14 @@ class AcquisitionOperator:
     def normal(self, x):
         """H^H H x = sum_c S_c^H [K * (S_c x)] with the exact NUDFT kernel.
 
-        K_ij = sum_t B_ti B_tj psf_t is built on first use and cached,
-        frequency-major: one real s x s block per frequency of the 2N grid,
-        (2N)^2 s^2 values, or of the N grid, N^2 s^2 values, for integer
-        trajectories. Zero-phase RF makes the SVD basis real; a complex
-        one with zero imaginary part is used as its real part, any other
-        raises ValueError. For gridded trajectories the result differs from
-        adjoint(forward(x)) by the gridding error only.
+        The spectrum of K_ij = sum_t B_ti B_tj psf_t is built on first use,
+        directly in frequency, and cached frequency-major: one real s x s
+        block per frequency of the 2N grid, (2N)^2 s^2 values, or of the N
+        grid, N^2 s^2 values, for integer trajectories. Zero-phase RF makes
+        the SVD basis real; a complex one with zero imaginary part is used as
+        its real part, any other raises ValueError. For gridded trajectories
+        the result differs from adjoint(forward(x)) by the gridding error
+        only.
         """
         x = self._check_image(x)
         if self._normal_kernel is None:

@@ -12,6 +12,8 @@ DEFAULT_T2_RANGE_MS = (10.0, 600.0)
 DEFAULT_T1_COUNT = 60
 DEFAULT_T2_COUNT = 50
 
+_MATCH_BLOCK = 64  # voxels per correlation block of dictionary matching
+
 
 def default_grid_values():
     """Log-spaced (T1, T2) value lists used when no grid is configured."""
@@ -162,15 +164,35 @@ def compressed_atoms(grid, sub):
 def _match_arrays(x_flat, unit_atoms, scale):
     """Exhaustive inner-product matching over flattened voxels.
 
-    x_flat: (channels, n_vox). Returns (atom index, pd) per voxel; ties break
-    to the lowest atom index via argmax. Correlations are voxel-major, so the
-    argmax runs along contiguous rows.
+    x_flat: (channels, n_vox), real or complex. The real (n_atoms, channels)
+    atom table (a complex one with zero imaginary part is used as its real
+    part, any other raises ValueError) meets the real and imaginary parts of
+    the data in two real products per block of _MATCH_BLOCK voxels, so the
+    correlations stay cache-sized. Returns (atom index, pd) per voxel: the
+    argmax of re^2 + im^2, ties to the lowest index, and a square root taken
+    at the winner only.
     """
-    corr = np.abs(x_flat.T @ unit_atoms.conj().T)  # (n_vox, n_atoms)
-    jstar = np.argmax(corr, axis=1)
-    best = corr[np.arange(x_flat.shape[1]), jstar]
-    pd = best / scale[jstar]
-    return jstar, pd
+    if np.iscomplexobj(unit_atoms):
+        if np.any(unit_atoms.imag):
+            raise ValueError(
+                "matching needs a real atom table; this one has a nonzero imaginary part"
+            )
+        unit_atoms = unit_atoms.real
+    table = unit_atoms.T
+    parts = (x_flat.real, x_flat.imag) if np.iscomplexobj(x_flat) else (x_flat,)
+    n_vox = x_flat.shape[1]
+    jstar = np.empty(n_vox, dtype=np.intp)
+    power = np.empty(n_vox)
+    corr, part_corr = np.empty((2, _MATCH_BLOCK, table.shape[1]))
+    for lo in range(0, n_vox, _MATCH_BLOCK):
+        hi = min(lo + _MATCH_BLOCK, n_vox)
+        c, pc = corr[: hi - lo], part_corr[: hi - lo]
+        np.square(np.matmul(parts[0][:, lo:hi].T, table, out=c), out=c)
+        for part in parts[1:]:
+            c += np.square(np.matmul(part[:, lo:hi].T, table, out=pc), out=pc)
+        jstar[lo:hi] = np.argmax(c, axis=1)
+        power[lo:hi] = c[np.arange(hi - lo), jstar[lo:hi]]
+    return jstar, np.sqrt(power) / scale[jstar]
 
 
 def _matching_table(tsmi, grid, sub):

@@ -31,15 +31,16 @@ channel spectra just before the gather (the adjoint scatters and folds back
 through the conjugate mixing), since full Cartesian frames read every grid
 point anyway. The identity mixing is the per-frame transform.
 
-Both plans also build the kernel of the exact (non-gridded) normal operator:
-a frame-weighted sum of point-spread functions psf_t(r) = sum_j
-exp(2j*pi*k_tj.r/N), so that toeplitz_normal applies the Toeplitz product as
-one circular convolution. Off-grid trajectories embed it 2N-periodically and
-convolve on a zero-padded 2N grid; integer trajectories make it N-periodic,
-so their kernel lives on the N grid itself and needs no padding. The kernel
-is stored frequency-major, one s x s channel-mixing block per frequency of
-its grid. The temporal basis must be real (zero-phase EPG makes it so), which
-makes every block real and symmetric; the caller checks this.
+Both plans also build the kernel of the exact (non-gridded) normal operator,
+the spectrum of a frame-weighted sum of point-spread functions psf_t(r) =
+sum_j exp(2j*pi*k_tj.r/N), so that toeplitz_normal applies the Toeplitz
+product as one circular convolution: off-grid on a zero-padded 2N grid,
+integer trajectories (N-periodic psf_t) on the N grid itself. The spectrum
+is assembled in frequency, with no transform of psf_t: off-grid from the
+real spectra of each sample's Hermitian exponentials, integer from each
+frame's sample histogram. It is stored frequency-major, one s x s mixing
+block per frequency. The temporal basis must be real (zero-phase EPG makes
+it so), which makes every block real and symmetric; the caller checks this.
 """
 
 import math
@@ -126,13 +127,26 @@ def _pair_weights(basis):
 
 
 def _pair_kernel_blocks(spectra, rows, cols):
-    """Real (P, pairs) pair spectra -> symmetric (P, s, s) blocks. Assigning
-    from a transposed view is the cheapest transpose to frequency-major order."""
+    """Real (P, pairs) pair spectra -> symmetric (P, s, s) blocks, one gather
+    of each (i, j) entry's pair column."""
     s = rows[-1] + 1
-    blocks = np.empty((spectra.shape[0], s, s))
-    blocks[:, cols, rows] = spectra
-    blocks[:, rows, cols] = spectra
-    return blocks
+    pair = np.empty((s, s), dtype=np.intp)
+    pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
+    return np.take(spectra, pair, axis=1)
+
+
+def _offset_spectra(k, n):
+    """Real 2N-point spectra (..., 2N) of exp(2j*pi*k*r/N) over the offsets
+    r = -(N-1)..N-1, offset -N zero: the sequence is Hermitian, so one hfft of
+    offsets 0..N. The exponentials come from a sqrt(N)-factored table,
+    e^{i th (q a + b)} = e^{i th q a} e^{i th b}, a^2 > N; hfft crops it."""
+    a = math.isqrt(n) + 1
+    theta = (2j * np.pi / n) * np.asarray(k)[..., None]
+    steps = np.arange(a)
+    table = np.exp(theta * (a * steps))[..., :, None] * np.exp(theta * steps)[..., None, :]
+    table = table.reshape(*theta.shape[:-1], a * a)
+    table[..., n] = 0.0
+    return _fft.hfft(table, n=2 * n, axis=-1, workers=_FFT_WORKERS)
 
 
 def beatty_beta(width, oversamp):
@@ -266,33 +280,26 @@ class GriddingPlan:
 
     def normal_kernel(self, basis):
         """Normal-operator spectrum of a real (frames, s) basis on the 2N grid:
-        real ((2N)^2, s, s) blocks sum_t B_ti B_tj fft(psf_t) / (2N)^2,
-        frequency-major.
+        real ((2N)^2, s, s) blocks, the DFT of sum_t B_ti B_tj psf_t / (2N)^2,
+        frequency-major, assembled in frequency: no fft(psf_t).
 
-        Each psf_t is the direct NUDFT sum at every offset of the 2N grid,
-        evaluated as a (2N x d) @ (d x 2N) product of separable exponentials,
-        so the kernel is exact rather than gridded. The offset -N row and
-        column stay zero: no pixel pair of the cropped output is N apart, and
-        without them every psf_t is exactly Hermitian, so the spectrum is real.
-        Only the s(s+1)/2 pairs i <= j are built; PSFs are folded in one frame
-        chunk at a time, the real weights acting on their float view.
+        psf_t is the direct NUDFT sum at every offset of the 2N grid, so the
+        kernel is exact rather than gridded. The offset -N row and column stay
+        zero (no pixel pair of the cropped output is N apart), so each
+        sample's exponential along an axis has a real spectrum. A frame's PSF
+        spectrum is one real (2N x d) @ (d x 2N) product of them, and the
+        s(s+1)/2 pair spectra i <= j one real weights product per frame chunk.
         """
         n, p = self.matrix, 2 * self.matrix
         weights, rows, cols = _pair_weights(basis)
         weights = weights / (p * p)
-        # offsets 0..N-1, then -N (left zero), then -(N-1)..-1 as conjugates
-        r = np.arange(n)
-        kernel = np.zeros((weights.shape[1], p * p), dtype=np.complex128)
+        kernel = np.zeros((p * p, weights.shape[1]))
         for lo in range(0, self.frames, _FRAME_CHUNK):
             hi = min(lo + _FRAME_CHUNK, self.frames)
-            ex, ey = (np.zeros((hi - lo, self.d, p), dtype=np.complex128) for _ in range(2))
-            for axis, e in enumerate((ex, ey)):
-                e[..., :n] = np.exp((2j * np.pi / n) * self.points[lo:hi, :, axis, None] * r)
-                e[..., n + 1 :] = e[..., n - 1 : 0 : -1].conj()
-            psf = np.matmul(ey.transpose(0, 2, 1), ex).reshape(hi - lo, -1)  # (frames, ry*rx)
-            kernel += (weights[lo:hi].T @ psf.view(np.float64)).view(np.complex128)
-        spectra = _fft.fft2(kernel.reshape(-1, p, p), overwrite_x=True, workers=_FFT_WORKERS)
-        return _pair_kernel_blocks(spectra.real.reshape(-1, p * p).T, rows, cols)
+            ex, ey = (_offset_spectra(self.points[lo:hi, :, axis], n) for axis in range(2))
+            psf = np.matmul(ey.transpose(0, 2, 1), ex).reshape(hi - lo, -1)  # (frames, uy*ux)
+            kernel += psf.T @ weights[lo:hi]
+        return _pair_kernel_blocks(kernel, rows, cols)
 
 
 class CartesianExactPlan:
@@ -363,11 +370,13 @@ class CartesianExactPlan:
 
     def normal_kernel(self, basis):
         """Normal-operator spectrum of a real (frames, s) basis on the N grid:
-        real (N^2, s, s) blocks sum_t B_ti B_tj h_t, frequency-major.
+        real (N^2, s, s) blocks sum_t B_ti B_tj h_t, frequency-major,
+        assembled in frequency.
 
         Integer frequencies make psf_t N-periodic, so H^H H is a circular
         convolution on the N grid itself, and the spectrum of psf_t there is
-        the frame's sample-count histogram h_t: no transform and no padding.
+        the frame's sample-count histogram h_t: no psf_t, no transform and
+        no padding.
         """
         n = self.matrix
         weights, rows, cols = _pair_weights(basis)

@@ -282,6 +282,22 @@ def test_density_compensation_shapes():
     npt.assert_allclose(flat, 1.0 / 64)
 
 
+@pytest.mark.parametrize("kind", TRAJECTORY_KINDS)
+def test_operator_decides_integer_trajectory_once(monkeypatch, kind):
+    calls = []
+
+    def counted(points, matrix):
+        calls.append(matrix)
+        return is_integer(points, matrix)
+
+    is_integer = nufft.is_integer_trajectory
+    monkeypatch.setattr(nufft, "is_integer_trajectory", counted)
+    traj = make_trajectory(kind, 8, d=8, frames=3)
+    op = AcquisitionOperator(simulate_coil_maps(2, 8), traj, np.eye(3))
+    assert calls == [8]
+    npt.assert_array_equal(op.dc_weights, density_compensation(traj))
+
+
 # --- subspace-first H and H^H against the per-frame chain ----------------------
 
 

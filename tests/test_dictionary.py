@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from mrfrecon import dictionary
 from mrfrecon.dictionary import (
     DictionaryGrid,
     build_dictionary,
@@ -231,3 +232,48 @@ def test_match_empty_dictionary_raises(small_dict):
     )
     with pytest.raises(ValueError, match="empty"):
         dictionary_match(np.zeros((grid.n_frames, 1, 1), complex), empty)
+
+
+# --- blocked real correlation against the one complex product ------------------
+
+B = dictionary._MATCH_BLOCK
+
+
+def _atom_table(rng, n_atoms=40, channels=6):
+    atoms = rng.standard_normal((n_atoms, channels))
+    atoms /= np.linalg.norm(atoms, axis=1)[:, None]
+    atoms[7] = atoms[3]  # a duplicate: voxels matching atom 3 tie with 7
+    return atoms, rng.uniform(0.5, 2.0, n_atoms)
+
+
+@pytest.mark.parametrize("complex_data", [False, True])
+@pytest.mark.parametrize("n_vox", [0, 1, B - 1, B, B + 1, 3 * B + 5])
+def test_match_arrays_agrees_with_complex_correlation(n_vox, complex_data):
+    rng = np.random.default_rng(n_vox + 1)
+    atoms, scale = _atom_table(rng)
+    x = rng.standard_normal((6, n_vox))
+    if complex_data:
+        x = x + 1j * rng.standard_normal((6, n_vox))
+    planted = slice(0, n_vox, 5)
+    gain = rng.uniform(1.0, 2.0, x[:, planted].shape[1])
+    x[:, planted] = atoms[3][:, None] * (gain * np.exp(1j * gain) if complex_data else gain)
+    jstar, pd = dictionary._match_arrays(x, atoms, scale)
+    corr = np.abs(x.T @ atoms.T)
+    expected = np.argmax(corr, axis=1)
+    npt.assert_array_equal(jstar, expected)
+    assert np.all(jstar[planted] == 3)  # the tie goes to the lower index
+    npt.assert_allclose(pd, corr[np.arange(n_vox), expected] / scale[expected], rtol=1e-15, atol=0)
+
+
+def test_match_arrays_complex_atom_table():
+    rng = np.random.default_rng(9)
+    atoms, scale = _atom_table(rng)
+    x = rng.standard_normal((6, 50)) + 1j * rng.standard_normal((6, 50))
+    real = dictionary._match_arrays(x, atoms, scale)
+    # complex128 with zero imaginary part: how dictionaries written before
+    # float64 storage arrive
+    as_c128 = dictionary._match_arrays(x, atoms.astype(complex), scale)
+    for a, b in zip(real, as_c128):
+        npt.assert_array_equal(a, b)
+    with pytest.raises(ValueError, match="real atom table"):
+        dictionary._match_arrays(x, atoms + 1e-3j, scale)

@@ -272,3 +272,61 @@ def test_every_fft_runs_in_nufft_on_the_workers_setting():
     assert calls, "the scan found no FFT in nufft.py"
     unpinned = [line for line, workers in calls if not workers]
     assert not unpinned, f"nufft.py lines whose FFT lacks workers=_FFT_WORKERS: {unpinned}"
+
+
+# --- normal kernel assembled in frequency, against the complex-PSF construction --
+
+
+def _double_scatter_blocks(spectra, rows, cols):
+    """(P, pairs) -> (P, s, s) by two fancy-index scatters, the gather's reference."""
+    s = rows[-1] + 1
+    blocks = np.empty((spectra.shape[0], s, s))
+    blocks[:, cols, rows] = spectra
+    blocks[:, rows, cols] = spectra
+    return blocks
+
+
+def _reference_gridding_kernel(plan, basis):
+    """sum_t B_ti B_tj psf_t formed on the 2N grid from complex exponentials,
+    then one complex fft2 per pair and its real part: the construction that
+    GriddingPlan.normal_kernel replaced by assembling the spectrum directly."""
+    n, p = plan.matrix, 2 * plan.matrix
+    weights, rows, cols = nufft._pair_weights(basis)
+    r = np.arange(n)
+    kernel = np.zeros((len(rows), p, p), dtype=complex)
+    for t in range(plan.frames):
+        ex, ey = np.zeros((2, plan.d, p), dtype=complex)
+        for axis, e in enumerate((ex, ey)):
+            e[:, :n] = np.exp((2j * np.pi / n) * plan.points[t, :, axis, None] * r)
+            e[:, n + 1 :] = e[:, n - 1 : 0 : -1].conj()  # offset -N stays zero
+        kernel += weights[t][:, None, None] * (ey.T @ ex)
+    spectra = np.fft.fft2(kernel).real.reshape(len(rows), -1).T / (p * p)
+    return _double_scatter_blocks(spectra, rows, cols)
+
+
+@pytest.mark.parametrize(
+    "n, d, frames, s",
+    [(8, 5, 70, 3), (9, 12, 70, 2), (16, 24, 130, 4), (32, 20, 130, 3), (32, 40, 70, 1)],
+)
+def test_gridding_normal_kernel_matches_complex_psf_fft(n, d, frames, s):
+    """Frame counts 70 and 130 cross _FRAME_CHUNK; d != N; N = 9 is odd."""
+    rng = np.random.default_rng(n * 1000 + frames)
+    angles = rng.uniform(0, np.pi, frames)
+    radius = np.linspace(-0.5, 0.5, d, endpoint=False) * n
+    pts = np.stack([np.outer(np.cos(angles), radius), np.outer(np.sin(angles), radius)], axis=-1)
+    plan = nufft.GriddingPlan(n, pts)
+    basis = np.linalg.qr(rng.standard_normal((frames, s)))[0]
+    got = plan.normal_kernel(basis)
+    ref = _reference_gridding_kernel(plan, basis)
+    assert got.shape == ((2 * n) ** 2, s, s) and got.dtype == np.float64
+    npt.assert_array_equal(got, got.transpose(0, 2, 1))
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("s", [1, 2, 5, 10])
+def test_pair_kernel_blocks_gather_equals_double_scatter(s):
+    rows, cols = np.triu_indices(s)
+    spectra = np.random.default_rng(s).standard_normal((37, len(rows)))
+    got = nufft._pair_kernel_blocks(spectra, rows, cols)
+    assert got.dtype == np.float64
+    npt.assert_array_equal(got, _double_scatter_blocks(spectra, rows, cols))
