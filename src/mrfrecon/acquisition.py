@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import nufft
-from .dictionary import Subspace
+from .dictionary import Subspace, real_table
 
 # golden-angle spoke increment, 180/phi deg ~= 111.246 deg
 GOLDEN_ANGLE_RAD = np.pi * (np.sqrt(5.0) - 1.0) / 2.0
@@ -179,11 +179,13 @@ class AcquisitionOperator:
         coil_maps: (C, N, N) complex sensitivities.
         trajectory: Trajectory whose frame count can be at most the number of
             basis rows.
-        subspace: Subspace (or raw (L, s) ndarray) giving temporal weights.
+        subspace: Subspace (or raw (L, s) ndarray, checked by real_table)
+            giving temporal weights, kept as float64.
     """
 
     def __init__(self, coil_maps, trajectory, subspace):
-        basis = subspace.basis if isinstance(subspace, Subspace) else np.asarray(subspace)
+        basis = subspace.basis if isinstance(subspace, Subspace) else subspace
+        basis = real_table(basis, "real temporal basis")
         maps = np.asarray(coil_maps, dtype=np.complex128)
         if maps.ndim != 3 or maps.shape[1] != maps.shape[2]:
             raise ValueError("coil_maps must be (C, N, N)")
@@ -196,7 +198,7 @@ class AcquisitionOperator:
             )
         self.coil_maps = maps
         self.trajectory = trajectory
-        self.basis = np.asarray(basis, dtype=np.complex128)[: trajectory.frames]
+        self.basis = np.ascontiguousarray(basis[: trajectory.frames], dtype=np.float64)
         self.s = self.basis.shape[1]
         self.matrix = trajectory.matrix
         self.n_coils = maps.shape[0]
@@ -245,20 +247,13 @@ class AcquisitionOperator:
         The spectrum of K_ij = sum_t B_ti B_tj psf_t is built on first use,
         directly in frequency, and cached frequency-major: one real s x s
         block per frequency of the 2N grid, (2N)^2 s^2 values, or of the N
-        grid, N^2 s^2 values, for integer trajectories. Zero-phase RF makes
-        the SVD basis real; a complex one with zero imaginary part is used as
-        its real part, any other raises ValueError. For gridded trajectories
-        the result differs from adjoint(forward(x)) by the gridding error
-        only.
+        grid, N^2 s^2 values, for integer trajectories; the real basis makes
+        every block real. For gridded trajectories the result differs from
+        adjoint(forward(x)) by the gridding error only.
         """
         x = self._check_image(x)
         if self._normal_kernel is None:
-            if np.any(self.basis.imag):
-                raise ValueError(
-                    "the normal operator needs a real temporal basis; this one "
-                    "has a nonzero imaginary part"
-                )
-            self._normal_kernel = self.plan.normal_kernel(self.basis.real)
+            self._normal_kernel = self.plan.normal_kernel(self.basis)
         coil_imgs = self.coil_maps[:, None] * x[None]  # (C, s, N, N)
         out = nufft.toeplitz_normal(self._normal_kernel, coil_imgs)
         return np.sum(out * self.coil_maps.conj()[:, None], axis=0)
@@ -268,7 +263,7 @@ class AcquisitionOperator:
 
         The DC'd single-frame normal operator has diagonal spatial gain equal
         to that frame's total weight, so the s x s temporal mixing of the
-        back-projection is sum_t (sum_i w_ti) B^H[t] B[t]. Its (pseudo)inverse
+        back-projection is sum_t (sum_i w_ti) B[t]^T B[t]. Its (pseudo)inverse
         restores per-channel scales that frame truncation and spoke coverage
         would otherwise skew. Identity for full Cartesian sampling at r=1.
         """
@@ -281,7 +276,7 @@ class AcquisitionOperator:
                 # complementary frames tile k-space jointly; their DC weights
                 # are designed so the ensemble approximates the identity
                 gains = gains / gains.sum()
-            m = (self.basis.conj().T * gains) @ self.basis
+            m = (self.basis.T * gains) @ self.basis
             # truncated inverse: caps noise amplification of barely-covered
             # channels at 100x and is exact when m is well conditioned (r=1)
             self._bp_mixing_inv = np.linalg.pinv(m, rcond=1e-2, hermitian=True)
@@ -311,7 +306,7 @@ class AcquisitionOperator:
         subspace, e.g. H^H H = c I), and calls normal() at most `iters` times.
         This is the lambda of the exact-NUDFT H^H H; on gridded trajectories
         it agrees with that of adjoint(forward(.)) to gridding accuracy (about
-        1e-3 relative). Like normal(), it needs a real basis.
+        1e-3 relative).
         """
         if iters < 1:
             raise ValueError("iters must be >= 1")

@@ -389,7 +389,7 @@ def cmd_build_dict(args):
     grid = build_dictionary(seq, t1_values, t2_values, k_max=k_max)
     sub = compute_subspace(grid, s)
 
-    proj = grid.atoms @ sub.basis.conj()
+    proj = grid.atoms @ sub.basis
     resid = grid.atoms - proj @ sub.basis.T
     rel = np.linalg.norm(resid, axis=1)  # atoms are unit norm
     power = sub.singular_values**2

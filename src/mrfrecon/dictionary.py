@@ -29,12 +29,24 @@ def valid_pairs(t1_values, t2_values):
     return t1g[keep], t2g[keep]
 
 
+def real_table(a, what):
+    """The entry check of a temporal basis or atom table: a real array passes
+    unchanged, a complex one with an all-zero imaginary part (older c128
+    dictionaries, .astype(complex)) becomes its real part, any other raises."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        if np.any(a.imag):
+            raise ValueError(f"need a {what}; this one has a nonzero imaginary part")
+        a = np.ascontiguousarray(a.real)
+    return a
+
+
 @dataclass
 class DictionaryGrid:
     """Normalized fingerprints over a (T1, T2) grid.
 
-    atoms has unit-norm float64 rows; atom_norms keeps the pre-normalization
-    norms so proton density can be de-scaled after matching.
+    atoms has unit-norm real rows (see real_table); atom_norms keeps the
+    pre-normalization norms so proton density can be de-scaled after matching.
     atom_t1_ms/atom_t2_ms map an atom index back to its grid values.
     """
 
@@ -45,6 +57,9 @@ class DictionaryGrid:
     atom_t1_ms: np.ndarray
     atom_t2_ms: np.ndarray
     seq: object = field(repr=False, default=None)
+
+    def __post_init__(self):
+        self.atoms = real_table(self.atoms, "real atom table")
 
     @property
     def n_atoms(self):
@@ -58,10 +73,13 @@ class DictionaryGrid:
 @dataclass
 class Subspace:
     """Temporal SVD basis: (L, s) with orthonormal columns, descending order;
-    real for the simulated (real) atoms."""
+    real, as zero-phase RF makes the atoms (checked by real_table)."""
 
     basis: np.ndarray
     singular_values: np.ndarray
+
+    def __post_init__(self):
+        self.basis = real_table(self.basis, "real temporal basis")
 
     @property
     def s(self):
@@ -127,25 +145,17 @@ def compute_subspace(grid, s):
     tall = n_atoms >= 2 * n_frames
     a = np.linalg.qr(grid.atoms, mode="r") if tall else grid.atoms
     sv, vh = np.linalg.svd(a, full_matrices=False)[1:]
-    return Subspace(basis=vh[:s].conj().T.copy(), singular_values=sv)
+    return Subspace(basis=vh[:s].T.copy(), singular_values=sv)
 
 
 def compress(tsmi_full, sub):
-    """Project length-L channel data onto the subspace: x -> basis^H x."""
+    """Project length-L channel data onto the subspace: x -> basis^T x."""
     x = np.asarray(tsmi_full)
     if x.shape[0] != sub.n_frames:
         raise ValueError(
             f"expected {sub.n_frames} channels (full length), got {x.shape[0]}"
         )
-    return np.tensordot(sub.basis.conj(), x, axes=(0, 0))
-
-
-def decompress(tsmi_s, sub):
-    """Expand s-channel data back to length L: z -> basis z."""
-    z = np.asarray(tsmi_s)
-    if z.shape[0] != sub.s:
-        raise ValueError(f"expected {sub.s} channels (compressed), got {z.shape[0]}")
-    return np.tensordot(sub.basis, z, axes=(1, 0))
+    return np.tensordot(sub.basis, x, axes=(0, 0))
 
 
 def compressed_atoms(grid, sub):
@@ -154,7 +164,7 @@ def compressed_atoms(grid, sub):
     Returns (unit_atoms (n_atoms, s), scale (n_atoms,)) where scale maps a
     matched correlation magnitude back to proton density.
     """
-    catoms = grid.atoms @ sub.basis.conj()
+    catoms = grid.atoms @ sub.basis
     cnorms = np.linalg.norm(catoms, axis=1)
     if np.any(cnorms == 0.0):
         raise ValueError("an atom vanishes in the subspace; increase s")
@@ -165,19 +175,12 @@ def _match_arrays(x_flat, unit_atoms, scale):
     """Exhaustive inner-product matching over flattened voxels.
 
     x_flat: (channels, n_vox), real or complex. The real (n_atoms, channels)
-    atom table (a complex one with zero imaginary part is used as its real
-    part, any other raises ValueError) meets the real and imaginary parts of
-    the data in two real products per block of _MATCH_BLOCK voxels, so the
-    correlations stay cache-sized. Returns (atom index, pd) per voxel: the
-    argmax of re^2 + im^2, ties to the lowest index, and a square root taken
-    at the winner only.
+    atom table meets the real and imaginary parts of the data in two real
+    products per block of _MATCH_BLOCK voxels, so the correlations stay
+    cache-sized. Returns (atom index, pd) per voxel: the argmax of
+    re^2 + im^2, ties to the lowest index, and a square root taken at the
+    winner only.
     """
-    if np.iscomplexobj(unit_atoms):
-        if np.any(unit_atoms.imag):
-            raise ValueError(
-                "matching needs a real atom table; this one has a nonzero imaginary part"
-            )
-        unit_atoms = unit_atoms.real
     table = unit_atoms.T
     parts = (x_flat.real, x_flat.imag) if np.iscomplexobj(x_flat) else (x_flat,)
     n_vox = x_flat.shape[1]

@@ -406,7 +406,7 @@ def pretrain_bloch_decoder(
     t2r = (float(grid.t2_values_ms[0]), float(grid.t2_values_ms[-1]))
 
     raw_atoms = grid.atoms * grid.atom_norms[:, None]
-    catoms = raw_atoms @ sub.basis.conj()
+    catoms = raw_atoms @ sub.basis
     atom_targets = np.concatenate([catoms.real, catoms.imag], axis=1)
     t1_off, t2_off = _sample_offgrid_pairs(rng, n_offgrid, t1r, t2r)
     off_targets = compressed_response_targets(seq, sub, t1_off, t2_off, k_max)

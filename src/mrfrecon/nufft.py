@@ -19,17 +19,18 @@ evaluated exactly as gridding with a single tap on the N grid itself: integer
 frequencies alias exactly, so this path is both faster and error-free.
 
 Both plans transform K channel images, not frames: one FFT pass covers them,
-and a (frames x K) mixing matrix takes them to the frames. Off-grid plans mix
-at the samples: one sparse interpolation matrix (a row of W*W tap weights per
-sample, Fessler & Sutton, IEEE TSP 2003) reads every channel spectrum at every
-sample, and each frame's mixing row combines its K values there, so no frame
-spectrum on the oversampled grid is ever formed. Their adjoint spreads each
-sample over the channels through the conjugate mixing, applies the
-conjugate-transposed matrix and makes one inverse pass. Integer trajectories
-mix on the grid instead: each chunk of frame spectra is formed from the
-channel spectra just before the gather (the adjoint scatters and folds back
-through the conjugate mixing), since full Cartesian frames read every grid
-point anyway. The identity mixing is the per-frame transform.
+and a real (frames x K) mixing matrix, the temporal basis, takes them to the
+frames. Off-grid plans mix at the samples: one sparse interpolation matrix (a
+row of W*W tap weights per sample, Fessler & Sutton, IEEE TSP 2003) reads
+every channel spectrum at every sample, and each frame's mixing row combines
+its K values there, so no frame spectrum on the oversampled grid is ever
+formed. Their adjoint spreads each sample over the channels through the
+mixing, applies the conjugate-transposed matrix and makes one inverse pass.
+Integer trajectories mix on the grid instead: each chunk of frame spectra is
+formed from the channel spectra just before the gather (the adjoint scatters
+and folds back through the transposed mixing), since full Cartesian frames
+read every grid point anyway. The identity mixing, np.eye(F), is the
+per-frame transform.
 
 Both plans also build the kernel of the exact (non-gridded) normal operator,
 the spectrum of a frame-weighted sum of point-spread functions psf_t(r) =
@@ -39,8 +40,7 @@ integer trajectories (N-periodic psf_t) on the N grid itself. The spectrum
 is assembled in frequency, with no transform of psf_t: off-grid from the
 real spectra of each sample's Hermitian exponentials, integer from each
 frame's sample histogram. It is stored frequency-major, one s x s mixing
-block per frequency. The temporal basis must be real (zero-phase EPG makes
-it so), which makes every block real and symmetric; the caller checks this.
+block per frequency, real and symmetric for the real basis.
 """
 
 import math
@@ -92,12 +92,9 @@ def _scatter_add(idx, vals, size):
 
 
 def _mix(m, spec):
-    """m @ spec for complex spectra, batched as matmul is. A matrix with no
-    imaginary part acts on their interleaved re/im float view, which is
-    exact."""
-    if np.any(m.imag):
-        return m @ spec
-    return (m.real @ spec.view(np.float64)).view(np.complex128)
+    """m @ spec for a real m and complex spectra, batched as matmul is: m acts
+    on their interleaved re/im float view, which is exact."""
+    return (m @ spec.view(np.float64)).view(np.complex128)
 
 
 def toeplitz_normal(kernel, images):
@@ -107,15 +104,13 @@ def toeplitz_normal(kernel, images):
     p x p grid, P = p^2: p = 2N zero-pads the images (off-grid trajectories),
     p = N convolves them as they are (integer trajectories). images (B, s, N,
     N). Returns sum_l crop(ifft(kernel[:, i, l] * fft(pad(images[:, l])))) for
-    every output channel i. The mixing is one matmul batched over frequency,
-    acting on the interleaved re/im float view of the spectrum, which is
-    exact for a real matrix.
+    every output channel i. The mixing is one _mix batched over frequency.
     """
     b, s, n, _ = images.shape
     p = math.isqrt(kernel.shape[0])
     spec = _oversampled_fft2(images, p).reshape(b, s, p * p)
     spec = np.ascontiguousarray(spec.transpose(2, 1, 0))  # (P, s, B)
-    mixed = np.matmul(kernel, spec.view(np.float64)).view(np.complex128)
+    mixed = _mix(kernel, spec)
     return _oversampled_fft2_adjoint(mixed.transpose(2, 1, 0).reshape(b, s, p, p), n)
 
 
@@ -244,33 +239,30 @@ class GriddingPlan:
         c = kaiser_bessel_ft(t, w, beta)
         self.apod = np.outer(c, c)
 
-    def forward(self, images, mixing=None):
+    def forward(self, images, mixing):
         """Channel images (K, B, N, N) -> samples (F, B, d) of the frame
-        images sum_k mixing[t, k] images[k]; mixing is (F, K), the identity
-        (one image per frame) by default.
+        images sum_k mixing[t, k] images[k]; mixing is real (F, K).
 
         One deapodized, oversampled FFT pass over the K*B channel images; the
         interpolation matrix then reads every channel spectrum at every
         sample, and each sample's basis row mixes its K values there.
         """
         k, b = images.shape[:2]
-        mixing = np.eye(k) if mixing is None else mixing
         spec = _oversampled_fft2(images / self.apod, self.grid).reshape(k * b, -1)
         at = self.interp @ np.ascontiguousarray(spec.T)  # (F*d, K*B)
         f = len(mixing)
         out = _mix(mixing[:, None, None], at.reshape(f, self.d, k, b))  # (F, d, 1, B)
         return np.ascontiguousarray(out.reshape(f, self.d, b).transpose(0, 2, 1))
 
-    def adjoint(self, samples, mixing=None):
+    def adjoint(self, samples, mixing):
         """Samples (F, B, d) -> channel images (K, B, N, N); the exact
         transpose of forward with the same mixing.
 
-        Each sample is spread over the K channels through conj(mixing), the
+        Each sample is spread over the K channels through the mixing, the
         conjugate-transposed interpolation matrix sums the channel spectra
         from the samples, and one inverse FFT pass follows.
         """
         f, b = samples.shape[:2]
-        mixing = np.eye(f) if mixing is None else mixing
         k = mixing.shape[1]
         # G^H z = conj(G^T conj(z)), and G^T is a CSC view of G's arrays
         at = mixing[:, None, :, None] * samples.conj().transpose(0, 2, 1)[:, :, None]
@@ -323,10 +315,9 @@ class CartesianExactPlan:
         self.frames, self.d = pts.shape[:2]
         self.apod = 1.0
 
-    def forward(self, images, mixing=None):
+    def forward(self, images, mixing):
         """Channel images (K, B, N, N) -> samples (F, B, d) of the frame
-        images sum_k mixing[t, k] images[k]; mixing is (F, K), the identity
-        (one image per frame) by default.
+        images sum_k mixing[t, k] images[k]; mixing is real (F, K).
 
         One FFT pass over the K*B channel images on the N grid; each chunk of
         frames then mixes its spectra from theirs (one BLAS product) and
@@ -335,7 +326,6 @@ class CartesianExactPlan:
         """
         k, b = images.shape[:2]
         g = self.grid
-        mixing = np.eye(k) if mixing is None else mixing
         spec = _oversampled_fft2(images / self.apod, g).reshape(k, -1)
         f = len(mixing)
         out = np.empty((f, b, self.d), dtype=np.complex128)
@@ -347,16 +337,15 @@ class CartesianExactPlan:
             out[lo:hi] = np.sum(gathered * self.weights[lo:hi, None], axis=3)
         return out
 
-    def adjoint(self, samples, mixing=None):
+    def adjoint(self, samples, mixing):
         """Samples (F, B, d) -> channel images (K, B, N, N); the exact
         transpose of forward with the same mixing.
 
         Each chunk of frames scatters onto its grids and folds them into the
-        K*B channel spectra through conj(mixing); one inverse FFT pass follows.
+        K*B channel spectra through mixing^T; one inverse FFT pass follows.
         """
         f, b = samples.shape[:2]
         n, g = self.matrix, self.grid
-        mixing = np.eye(f) if mixing is None else mixing
         spec = np.zeros((mixing.shape[1], b * g * g), dtype=np.complex128)
         for lo in range(0, f, _FRAME_CHUNK):
             hi = min(lo + _FRAME_CHUNK, f)
@@ -365,7 +354,7 @@ class CartesianExactPlan:
             offs = (np.arange(nf * b) * (g * g)).reshape(nf, b, 1, 1)
             idx = self.flat_index[lo:hi, None] + offs
             grids = _scatter_add(idx, vals, nf * b * g * g).reshape(nf, -1)
-            spec += _mix(mixing[lo:hi].conj().T, grids)
+            spec += _mix(mixing[lo:hi].T, grids)
         return _oversampled_fft2_adjoint(spec.reshape(-1, b, g, g), n) / self.apod
 
     def normal_kernel(self, basis):

@@ -3,8 +3,7 @@
 The one PGD iteration, pgd_iterates, records a k-space fidelity gradient step
 followed by a proximal update on an autodiff tape, for inference and training
 alike; the prox is either exhaustive dictionary matching (projection onto the
-cone of fingerprint atoms), a learned encoder/decoder pair, or the identity
-(plain gradient descent, used to validate descent behavior).
+cone of fingerprint atoms) or a learned encoder/decoder pair.
 """
 
 from dataclasses import dataclass, field
@@ -63,10 +62,6 @@ class ReconTrace:
     step_sizes: list = field(default_factory=list)
 
 
-def identity_prox(g):
-    return g, None
-
-
 def make_dictionary_prox(grid, sub):
     """Projection of each voxel onto the nonnegative span of the atom set.
 
@@ -122,8 +117,7 @@ def pgd_reconstruct(y, op, prox, cfg):
     Args:
         y: measured k-space (frames, C, d).
         op: AcquisitionOperator.
-        prox: callable g -> (x, QMaps or None); see identity_prox and
-            make_dictionary_prox.
+        prox: callable g -> (x, QMaps or None); see make_dictionary_prox.
         cfg: PgdConfig.
 
     Returns:

@@ -1,8 +1,16 @@
-import numpy as np
-import pytest
+import os
 
-from mrfrecon.dictionary import build_dictionary, compute_subspace
-from mrfrecon.epg import SequenceParams, sinusoidal_flip_schedule
+# one BLAS / OpenMP thread, fixed before anything imports numpy: OpenBLAS
+# reads these once, when it loads, so the pin in mrfrecon/__init__.py comes
+# too late for a test process that imports numpy first
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from mrfrecon.dictionary import build_dictionary, compute_subspace  # noqa: E402
+from mrfrecon.epg import SequenceParams, sinusoidal_flip_schedule  # noqa: E402
 
 
 def naive_dft2(img, points):

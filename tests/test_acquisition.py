@@ -16,17 +16,13 @@ from mrfrecon.acquisition import (
     simulate_coil_maps,
     truncate_acceleration,
 )
+from mrfrecon.dictionary import DictionaryGrid, Subspace
 
 
-def make_random_operator(
-    seed, n=16, coils=2, s=3, frames=12, kind="golden_radial", basis="complex"
-):
+def make_random_operator(seed, n=16, coils=2, s=3, frames=12, kind="golden_radial"):
     rng = np.random.default_rng(seed)
     traj = make_trajectory(kind, n, d=n, frames=frames)
-    raw = rng.standard_normal((frames, s))
-    if basis == "complex":
-        raw = raw + 1j * rng.standard_normal((frames, s))
-    basis = np.linalg.qr(raw)[0]
+    basis = np.linalg.qr(rng.standard_normal((frames, s)))[0]
     return AcquisitionOperator(simulate_coil_maps(coils, n), traj, basis)
 
 
@@ -181,7 +177,7 @@ def test_operator_norm_against_materialized_matrix():
 def test_operator_norm_self_consistency(seed):
     # seed 4's real basis has a close second eigenvalue, the hard case for
     # an iterative estimate
-    op = make_random_operator(seed, n=32, coils=2, s=3, frames=16, basis="real")
+    op = make_random_operator(seed, n=32, coils=2, s=3, frames=16)
     a = op.estimate_operator_norm(iters=30)
     b = op.estimate_operator_norm(iters=60)
     assert abs(a - b) / b < 1e-3
@@ -206,7 +202,7 @@ def _materialized_normal(op):
 
 @pytest.mark.parametrize("kind", ["golden_radial", "cartesian_lines"])
 def test_operator_norm_matches_dense_eigvalsh(kind):
-    op = make_random_operator(16, n=16, coils=2, s=3, frames=12, kind=kind, basis="real")
+    op = make_random_operator(16, n=16, coils=2, s=3, frames=12, kind=kind)
     exact = np.linalg.eigvalsh(_materialized_normal(op)).max()
     lam = op.estimate_operator_norm()
     # a Ritz value never exceeds the largest eigenvalue, up to rounding
@@ -215,7 +211,7 @@ def test_operator_norm_matches_dense_eigvalsh(kind):
 
 
 def test_operator_norm_caps_and_stops_early(monkeypatch):
-    op = make_random_operator(17, n=16, coils=2, s=3, frames=12, basis="real")
+    op = make_random_operator(17, n=16, coils=2, s=3, frames=12)
     calls = []
     normal = AcquisitionOperator.normal
 
@@ -246,7 +242,7 @@ def test_basis_shorter_than_trajectory_rejected():
 
 def test_gradient_step_never_increases_fidelity():
     for seed in range(5):
-        op = make_random_operator(100 + seed, n=16, coils=2, s=3, frames=10, basis="real")
+        op = make_random_operator(100 + seed, n=16, coils=2, s=3, frames=10)
         rng = np.random.default_rng(seed)
         y = rng.standard_normal(op.kspace_shape) + 1j * rng.standard_normal(
             op.kspace_shape
@@ -308,20 +304,19 @@ def _random_tsmi(rng, s, n):
 def _per_frame_forward(op, x):
     """Expand frames, weight by coils, then the identity-mixing (per-frame) plan."""
     frames = np.tensordot(op.basis, x, axes=(1, 0))  # (F, N, N)
-    return op.plan.forward(frames[:, None] * op.coil_maps[None])
+    return op.plan.forward(frames[:, None] * op.coil_maps[None], np.eye(len(frames)))
 
 
 def _per_frame_adjoint(op, y):
     """Per-frame plan adjoint, then coil combination and projection on the basis."""
-    frames = np.sum(op.plan.adjoint(y) * op.coil_maps.conj()[None], axis=1)
-    return np.tensordot(op.basis.conj(), frames, axes=(0, 0))
+    frames = np.sum(op.plan.adjoint(y, np.eye(len(y))) * op.coil_maps.conj()[None], axis=1)
+    return np.tensordot(op.basis, frames, axes=(0, 0))
 
 
-@pytest.mark.parametrize("basis", ["real", "complex"])
 @pytest.mark.parametrize("kind", TRAJECTORY_KINDS)
-def test_forward_and_adjoint_match_per_frame_reference(monkeypatch, kind, basis):
+def test_forward_and_adjoint_match_per_frame_reference(monkeypatch, kind):
     monkeypatch.setattr(nufft, "_FRAME_CHUNK", 5)  # 12 frames: chunks of 5, 5 and 2
-    op = make_random_operator(16, n=16, coils=2, s=3, frames=12, kind=kind, basis=basis)
+    op = make_random_operator(16, n=16, coils=2, s=3, frames=12, kind=kind)
     rng = np.random.default_rng(160)
     x = _random_tsmi(rng, 3, 16)
     y = rng.standard_normal(op.kspace_shape) + 1j * rng.standard_normal(op.kspace_shape)
@@ -364,15 +359,9 @@ def test_h_and_hh_transform_only_the_channel_images(monkeypatch, kind, frames):
 # --- Toeplitz normal operator --------------------------------------------------
 
 
-# normal() needs a real basis (zero-phase RF); complex bases run only through
-# forward/adjoint above
-BASES = ["real"]
-
-
-@pytest.mark.parametrize("basis", BASES)
-def test_normal_matches_materialized_direct_dft(basis):
+def test_normal_matches_materialized_direct_dft():
     n, s = 8, 2
-    op = make_random_operator(7, n=n, coils=2, s=s, frames=6, basis=basis)
+    op = make_random_operator(7, n=n, coils=2, s=s, frames=6)
     r = np.arange(n) - n // 2
     # direct-DFT H as a dense matrix: rows (frame, coil, sample), columns (channel, pixel)
     h = np.zeros((6, 2, n, s, n * n), dtype=complex)
@@ -391,22 +380,20 @@ def test_normal_matches_materialized_direct_dft(basis):
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
-@pytest.mark.parametrize("basis", BASES)
 @pytest.mark.parametrize("kind", ["cartesian_full", "cartesian_lines"])
-def test_normal_matches_exact_cartesian_path(kind, basis):
-    op = make_random_operator(8, n=16, coils=2, s=3, frames=12, kind=kind, basis=basis)
+def test_normal_matches_exact_cartesian_path(kind):
+    op = make_random_operator(8, n=16, coils=2, s=3, frames=12, kind=kind)
     x = _random_tsmi(np.random.default_rng(80), 3, 16)
     expected = op.adjoint(op.forward(x))
     assert np.linalg.norm(op.normal(x) - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
-@pytest.mark.parametrize("basis", BASES)
 @pytest.mark.parametrize("kind", ["golden_radial", "cartesian_lines", "cartesian_full"])
-def test_normal_kernel_blocks(kind, basis):
+def test_normal_kernel_blocks(kind):
     """Frequency-major (P, s, s) blocks, real and symmetric: P = N^2 for
     integer trajectories, whose normal operator is N-periodic, (2N)^2 else."""
-    op = make_random_operator(12, n=8, coils=1, s=3, frames=10, kind=kind, basis=basis)
-    kernel = op.plan.normal_kernel(op.basis.real)
+    op = make_random_operator(12, n=8, coils=1, s=3, frames=10, kind=kind)
+    kernel = op.plan.normal_kernel(op.basis)
     grid = 16 if kind == "golden_radial" else 8
     assert kernel.shape == (grid * grid, 3, 3)
     assert kernel.dtype == np.float64
@@ -414,7 +401,7 @@ def test_normal_kernel_blocks(kind, basis):
 
 
 def test_normal_matches_gridded_radial():
-    op = make_random_operator(9, n=32, coils=2, s=3, frames=16, basis="real")
+    op = make_random_operator(9, n=32, coils=2, s=3, frames=16)
     x = _random_tsmi(np.random.default_rng(90), 3, 32)
     expected = op.adjoint(op.forward(x))
     assert np.linalg.norm(op.normal(x) - expected) <= 2e-3 * np.linalg.norm(expected)
@@ -422,7 +409,7 @@ def test_normal_matches_gridded_radial():
 
 @pytest.mark.parametrize("kind", ["golden_radial", "cartesian_lines"])
 def test_normal_hermitian_and_psd(kind):
-    op = make_random_operator(10, n=16, coils=2, s=3, frames=12, kind=kind, basis="real")
+    op = make_random_operator(10, n=16, coils=2, s=3, frames=12, kind=kind)
     rng = np.random.default_rng(100)
     for _ in range(3):
         x, z = _random_tsmi(rng, 3, 16), _random_tsmi(rng, 3, 16)
@@ -439,7 +426,7 @@ def test_operator_norm_independent_of_fft_workers():
 
     # a fresh operator per setting, so the kernel build runs under each too
     def norm():
-        op = make_random_operator(11, n=16, coils=2, s=3, frames=12, basis="real")
+        op = make_random_operator(11, n=16, coils=2, s=3, frames=12)
         return op.estimate_operator_norm()
 
     one = norm()
@@ -451,22 +438,35 @@ def test_operator_norm_independent_of_fft_workers():
     assert one == two
 
 
-@pytest.mark.parametrize("kind", ["golden_radial", "cartesian_lines"])
+@pytest.mark.parametrize("kind", TRAJECTORY_KINDS)
 def test_normal_same_for_float64_and_zero_imag_complex_basis(kind):
+    """H, H^H and N give the same bits for a float64 basis and for its
+    complex128 cast, and Subspace and DictionaryGrid hold the cast as float64."""
     # complex128 with zero imaginary part: how dictionaries written before
     # float64 storage, and bases cast with .astype(complex), arrive
     rng = np.random.default_rng(14)
     basis = np.linalg.qr(rng.standard_normal((12, 3)))[0]
     maps, traj = simulate_coil_maps(2, 16), make_trajectory(kind, 16, d=16, frames=12)
     x = _random_tsmi(rng, 3, 16)
-    as_f64 = AcquisitionOperator(maps, traj, basis).normal(x)
-    as_c128 = AcquisitionOperator(maps, traj, basis.astype(complex)).normal(x)
-    npt.assert_array_equal(as_f64, as_c128)
+    ops = [AcquisitionOperator(maps, traj, b) for b in (basis, basis.astype(complex))]
+    assert all(op.basis.dtype == np.float64 for op in ops)
+    y = ops[0].forward(x)
+    for apply, arg in (("forward", x), ("adjoint", y), ("normal", x)):
+        npt.assert_array_equal(getattr(ops[0], apply)(arg), getattr(ops[1], apply)(arg))
+    sub = Subspace(basis=basis.astype(complex), singular_values=np.ones(3))
+    assert sub.basis.dtype == np.float64
+    npt.assert_array_equal(sub.basis, basis)
+    ones = np.ones(3)
+    grid = DictionaryGrid(ones, ones, basis.T.astype(complex), ones, ones, ones)
+    assert grid.atoms.dtype == np.float64
+    npt.assert_array_equal(grid.atoms, basis.T)
 
 
-def test_normal_rejects_basis_with_imaginary_part():
-    op = make_random_operator(15, n=8, coils=1, s=2, frames=6)
+def test_basis_with_imaginary_part_is_rejected_where_it_enters():
+    rng = np.random.default_rng(15)
+    basis = np.linalg.qr(rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)))[0]
+    traj = make_trajectory("golden_radial", 8, d=8, frames=6)
     with pytest.raises(ValueError, match="real temporal basis"):
-        op.normal(_random_tsmi(np.random.default_rng(150), 2, 8))
+        AcquisitionOperator(simulate_coil_maps(1, 8), traj, basis)
     with pytest.raises(ValueError, match="real temporal basis"):
-        op.estimate_operator_norm(iters=3)
+        Subspace(basis=basis, singular_values=np.ones(2))

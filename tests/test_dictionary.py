@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+
+from helpers import decompress
 
 from mrfrecon import dictionary
 from mrfrecon.dictionary import (
@@ -9,7 +13,6 @@ from mrfrecon.dictionary import (
     compress,
     compressed_atoms,
     compute_subspace,
-    decompress,
     dictionary_match,
     valid_pairs,
 )
@@ -265,15 +268,40 @@ def test_match_arrays_agrees_with_complex_correlation(n_vox, complex_data):
     npt.assert_allclose(pd, corr[np.arange(n_vox), expected] / scale[expected], rtol=1e-15, atol=0)
 
 
-def test_match_arrays_complex_atom_table():
+def test_complex_atom_table_is_checked_when_the_grid_is_built(small_dict):
+    grid, _ = small_dict
     rng = np.random.default_rng(9)
-    atoms, scale = _atom_table(rng)
-    x = rng.standard_normal((6, 50)) + 1j * rng.standard_normal((6, 50))
-    real = dictionary._match_arrays(x, atoms, scale)
+    x = rng.standard_normal((grid.n_frames, 5, 10)) + 1j * rng.standard_normal((grid.n_frames, 5, 10))
     # complex128 with zero imaginary part: how dictionaries written before
-    # float64 storage arrive
-    as_c128 = dictionary._match_arrays(x, atoms.astype(complex), scale)
-    for a, b in zip(real, as_c128):
+    # float64 storage arrive; the grid holds their real part
+    as_c128 = dataclasses.replace(grid, atoms=grid.atoms.astype(complex))
+    assert as_c128.atoms.dtype == np.float64
+    real, cast = dictionary_match(x, grid), dictionary_match(x, as_c128)
+    for a, b in ((real.t1_ms, cast.t1_ms), (real.t2_ms, cast.t2_ms), (real.pd, cast.pd)):
         npt.assert_array_equal(a, b)
     with pytest.raises(ValueError, match="real atom table"):
-        dictionary._match_arrays(x, atoms + 1e-3j, scale)
+        dataclasses.replace(grid, atoms=grid.atoms + 1e-3j)
+
+
+# --- the entry check of a basis or atom table ----------------------------------
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_real_table_passes_a_real_array_unchanged(dtype):
+    a = np.random.default_rng(10).standard_normal((6, 3)).astype(dtype).T  # a strided view
+    assert dictionary.real_table(a, "real temporal basis") is a
+
+
+def test_real_table_takes_the_real_part_of_a_zero_imag_complex_array():
+    real = np.random.default_rng(11).standard_normal((6, 3)).T
+    got = dictionary.real_table(real.astype(np.complex128), "real atom table")
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    npt.assert_array_equal(got, real)
+
+
+@pytest.mark.parametrize("what", ["real temporal basis", "real atom table"])
+def test_real_table_rejects_any_nonzero_imaginary_part(what):
+    a = np.zeros((6, 3), dtype=np.complex128)
+    a[4, 1] = 1e-300j  # no tolerance: the smallest imaginary part is rejected
+    with pytest.raises(ValueError, match=what):
+        dictionary.real_table(a, what)

@@ -2,14 +2,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from helpers import simulate_epg, simulate_isochromat_oracle
+
 from mrfrecon.dictionary import valid_pairs
 from mrfrecon.epg import (
     SequenceParams,
     TissueParams,
     load_flip_schedule_csv,
-    simulate_epg,
     simulate_epg_batch,
-    simulate_isochromat_oracle,
     sinusoidal_flip_schedule,
 )
 from mrfrecon.errors import SimulationDivergence

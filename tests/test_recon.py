@@ -2,6 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from helpers import identity_prox
+
 from mrfrecon.acquisition import AcquisitionOperator, make_trajectory, simulate_coil_maps
 from mrfrecon.dictionary import compress, compressed_atoms
 from mrfrecon.errors import ReconDivergence
@@ -9,7 +11,6 @@ from mrfrecon.neuralprox import UnrolledModel
 from mrfrecon.recon import (
     PgdConfig,
     backprojection_baseline,
-    identity_prox,
     make_dictionary_prox,
     pgd_reconstruct,
 )

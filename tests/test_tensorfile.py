@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 import mrfrecon
 from mrfrecon.tensorfile import (
     load_checkpoint,
+    load_dictionary,
     open_fresh,
     read_json,
     read_tensor,
     save_checkpoint,
+    save_dictionary,
     write_json,
     write_tensor,
 )
@@ -160,6 +162,31 @@ def test_checkpoint_roundtrip(tmp_path):
     assert manifest["iterations"] == 5
     assert set(back) == {"w1", "b1"}
     npt.assert_array_equal(back["w1"], arrays["w1"])
+
+
+def test_load_dictionary_holds_a_complex128_dictionary_as_float64(tmp_path, small_dict):
+    # dictionaries written before float64 storage hold atoms and subspace as
+    # complex128 with a zero imaginary part
+    grid, sub = small_dict
+    save_dictionary(tmp_path, grid, sub)
+    for name in ("atoms", "subspace"):
+        path = tmp_path / f"{name}.mrfb"
+        write_tensor(path, read_tensor(path).astype(np.complex128))
+    back, back_sub = load_dictionary(tmp_path)
+    assert back.atoms.dtype == back_sub.basis.dtype == np.float64
+    npt.assert_array_equal(back.atoms, grid.atoms)
+    npt.assert_array_equal(back_sub.basis, sub.basis)
+
+
+@pytest.mark.parametrize(
+    "name, what", [("atoms", "real atom table"), ("subspace", "real temporal basis")]
+)
+def test_load_dictionary_rejects_an_imaginary_part(tmp_path, small_dict, name, what):
+    save_dictionary(tmp_path, *small_dict)
+    path = tmp_path / f"{name}.mrfb"
+    write_tensor(path, read_tensor(path) * np.exp(0.1j))
+    with pytest.raises(ValueError, match=what):
+        load_dictionary(tmp_path)
 
 
 # ---------------------------------------------------------------------------
