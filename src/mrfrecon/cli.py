@@ -12,6 +12,7 @@ when the package loads (see __init__), and --threads sets the FFT workers.
 
 import argparse
 import copy
+import dataclasses
 import json
 import sys
 import time
@@ -152,15 +153,19 @@ def load_config(path):
     return _merge_config(user, DEFAULT_CONFIG)
 
 
-_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false"}
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
+               str: "a string", list: "a list"}
 
 
 def _is_kind(value, kind):
-    """Whether a JSON value is of `kind`: int, float (any number) or bool.
-    JSON true and false are neither integers nor numbers."""
+    """Whether a JSON value is of `kind`: int, float (any finite number), bool,
+    str or list. JSON true and false are neither integers nor numbers; json
+    reads NaN, Infinity and 1e400 as floats, which no number key takes."""
     if isinstance(value, bool) or kind is bool:
         return isinstance(value, bool) and kind is bool
-    return isinstance(value, int if kind is int else (int, float))
+    if kind is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
 
 
 def _setting(cfg, key, kind):
@@ -182,6 +187,14 @@ def _at_least(cfg, key, low):
     return value
 
 
+def _above_zero(cfg, key):
+    """The number at the dotted config `key`; a config error unless it is > 0."""
+    value = _setting(cfg, key, float)
+    if value <= 0:
+        raise ConfigError(f"{key} must be > 0")
+    return value
+
+
 def _noise_sigma(cfg):
     sigma = _setting(cfg, "noise.sigma", float)
     if sigma < 0:
@@ -196,7 +209,7 @@ def build_sequence(cfg):
         flips = sinusoidal_flip_schedule(n_frames)
     else:
         try:
-            flips = load_flip_schedule_csv(sc["flip_csv"])
+            flips = load_flip_schedule_csv(_setting(cfg, "sequence.flip_csv", str))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"sequence.flip_csv: {exc}") from None
         if flips.size != n_frames:
@@ -288,7 +301,7 @@ def train_config(cfg):
         _at_least(cfg, "train.encoder_epochs", 1)
     _at_least(cfg, "train.decoder_offgrid", 0)
     for key in ("decoder_lr", "decoder_threshold"):
-        _setting(cfg, f"train.{key}", float)
+        _above_zero(cfg, f"train.{key}")
     _setting(cfg, "train.attention", bool)
     beta = tc["beta"]
     if not (
@@ -303,7 +316,7 @@ def train_config(cfg):
         beta=tuple(beta),
         lam=lam,
         epochs=tc["epochs"],
-        lr=_setting(cfg, "train.lr", float),
+        lr=_above_zero(cfg, "train.lr"),
         seed=_at_least(cfg, "train.seed", 0),
     )
 
@@ -311,9 +324,10 @@ def train_config(cfg):
 def build_phantom_from_config(cfg):
     pc = cfg["phantom"]
     matrix = _at_least(cfg, "phantom.matrix", 8)
-    key = "preset" if pc["regions"] is None else "regions"
+    key, kind = ("preset", str) if pc["regions"] is None else ("regions", list)
+    spec = {key: _setting(cfg, f"phantom.{key}", kind)}
     try:
-        return make_phantom({key: pc[key]}, matrix)
+        return make_phantom(spec, matrix)
     except ValueError as exc:
         raise ConfigError(f"phantom.{key}: {exc}") from None
 
@@ -529,13 +543,7 @@ def cmd_train(args):
 
     enc_epochs = tc["encoder_epochs"]
     enc_epochs = train_cfg.epochs if enc_epochs is None else int(enc_epochs)
-    enc_cfg = TrainConfig(
-        beta=train_cfg.beta,
-        lam=0.0,
-        epochs=enc_epochs,
-        lr=train_cfg.lr,
-        seed=train_cfg.seed,
-    )
+    enc_cfg = dataclasses.replace(train_cfg, lam=0.0, epochs=enc_epochs)
     print("pretraining encoder on back-projections ...")
     _, enc_history = pretrain_encoder(dataset, op, model.encoder, enc_cfg)
     print(f"baseline encoder loss: {enc_history[-1]:.3e}")

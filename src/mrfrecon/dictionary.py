@@ -7,19 +7,7 @@ import numpy as np
 from .epg import DEFAULT_K_MAX, simulate_epg_batch
 from .maps import QMaps
 
-DEFAULT_T1_RANGE_MS = (100.0, 4000.0)
-DEFAULT_T2_RANGE_MS = (10.0, 600.0)
-DEFAULT_T1_COUNT = 60
-DEFAULT_T2_COUNT = 50
-
 _MATCH_BLOCK = 64  # voxels per correlation block of dictionary matching
-
-
-def default_grid_values():
-    """Log-spaced (T1, T2) value lists used when no grid is configured."""
-    t1 = np.geomspace(*DEFAULT_T1_RANGE_MS, DEFAULT_T1_COUNT)
-    t2 = np.geomspace(*DEFAULT_T2_RANGE_MS, DEFAULT_T2_COUNT)
-    return t1, t2
 
 
 def valid_pairs(t1_values, t2_values):
@@ -90,16 +78,12 @@ class Subspace:
         return self.basis.shape[0]
 
 
-def build_dictionary(seq, t1_values_ms=None, t2_values_ms=None, k_max=DEFAULT_K_MAX):
+def build_dictionary(seq, t1_values_ms, t2_values_ms, k_max=DEFAULT_K_MAX):
     """Simulate and normalize one fingerprint per valid (t1, t2) grid pair.
 
     Pairs with t2 > t1 are excluded. Raises if the grid is empty or any atom
     has zero norm.
     """
-    if t1_values_ms is None or t2_values_ms is None:
-        d1, d2 = default_grid_values()
-        t1_values_ms = d1 if t1_values_ms is None else t1_values_ms
-        t2_values_ms = d2 if t2_values_ms is None else t2_values_ms
     t1_values = np.sort(np.asarray(t1_values_ms, dtype=float))
     t2_values = np.sort(np.asarray(t2_values_ms, dtype=float))
     if t1_values.size == 0 or t2_values.size == 0:
@@ -210,7 +194,17 @@ def _matching_table(tsmi, grid, sub):
     )
 
 
-def dictionary_match(tsmi, grid, sub=None, mask=None):
+def _atom_maps(grid, jstar, pd, shape):
+    """The T1/T2/PD maps of the matched atoms jstar with proton density pd."""
+    return QMaps(
+        t1_ms=grid.atom_t1_ms[jstar].reshape(shape),
+        t2_ms=grid.atom_t2_ms[jstar].reshape(shape),
+        pd=pd.reshape(shape),
+        mask=np.ones(shape, dtype=bool),
+    )
+
+
+def dictionary_match(tsmi, grid, sub=None):
     """Match every voxel against the dictionary and estimate T1/T2/PD.
 
     tsmi is (channels, H, W) with channels either the full length L or the
@@ -221,26 +215,5 @@ def dictionary_match(tsmi, grid, sub=None, mask=None):
         raise ValueError("empty dictionary")
     tsmi = np.asarray(tsmi)
     unit_atoms, scale = _matching_table(tsmi, grid, sub)
-    h, w = tsmi.shape[1:]
-    x_flat = tsmi.reshape(tsmi.shape[0], -1)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        sel = mask.reshape(-1)
-        x_flat = x_flat[:, sel]
-    jstar, pd = _match_arrays(x_flat, unit_atoms, scale)
-
-    def paint(values):
-        img = np.zeros(h * w, dtype=float)
-        if mask is None:
-            img[:] = values
-        else:
-            img[mask.reshape(-1)] = values
-        return img.reshape(h, w)
-
-    out_mask = np.ones((h, w), dtype=bool) if mask is None else mask
-    return QMaps(
-        t1_ms=paint(grid.atom_t1_ms[jstar]),
-        t2_ms=paint(grid.atom_t2_ms[jstar]),
-        pd=paint(pd),
-        mask=out_mask,
-    )
+    jstar, pd = _match_arrays(tsmi.reshape(tsmi.shape[0], -1), unit_atoms, scale)
+    return _atom_maps(grid, jstar, pd, tsmi.shape[1:])

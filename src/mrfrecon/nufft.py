@@ -313,7 +313,6 @@ class CartesianExactPlan:
         self.flat_index = (iy * n + ix)[..., None]  # (frames, d, 1)
         self.weights = np.where((pts[..., 0] + pts[..., 1]) % 2 == 0, 1.0, -1.0)[..., None]
         self.frames, self.d = pts.shape[:2]
-        self.apod = 1.0
 
     def forward(self, images, mixing):
         """Channel images (K, B, N, N) -> samples (F, B, d) of the frame
@@ -326,7 +325,7 @@ class CartesianExactPlan:
         """
         k, b = images.shape[:2]
         g = self.grid
-        spec = _oversampled_fft2(images / self.apod, g).reshape(k, -1)
+        spec = _oversampled_fft2(images, g).reshape(k, -1)
         f = len(mixing)
         out = np.empty((f, b, self.d), dtype=np.complex128)
         for lo in range(0, f, _FRAME_CHUNK):
@@ -355,7 +354,7 @@ class CartesianExactPlan:
             idx = self.flat_index[lo:hi, None] + offs
             grids = _scatter_add(idx, vals, nf * b * g * g).reshape(nf, -1)
             spec += _mix(mixing[lo:hi].T, grids)
-        return _oversampled_fft2_adjoint(spec.reshape(-1, b, g, g), n) / self.apod
+        return _oversampled_fft2_adjoint(spec.reshape(-1, b, g, g), n)
 
     def normal_kernel(self, basis):
         """Normal-operator spectrum of a real (frames, s) basis on the N grid:

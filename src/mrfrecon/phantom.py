@@ -119,23 +119,6 @@ def random_regions(rng, n_regions=6):
     return regions
 
 
-def snap_regions_to_grid(regions, t1_values, t2_values):
-    """Quantize each region's (t1, t2) to the nearest valid dictionary pair."""
-    t1_values = np.asarray(t1_values, dtype=float)
-    t2_values = np.asarray(t2_values, dtype=float)
-    snapped = []
-    for entry in regions:
-        t1 = t1_values[np.argmin(np.abs(t1_values - float(entry["t1"])))]
-        valid_t2 = t2_values[t2_values <= t1]
-        if valid_t2.size == 0:
-            raise ValueError(f"no valid t2 grid value below t1={t1:g}")
-        t2 = valid_t2[np.argmin(np.abs(valid_t2 - float(entry["t2"])))]
-        out = dict(entry)
-        out["t1"], out["t2"] = float(t1), float(t2)
-        snapped.append(out)
-    return snapped
-
-
 def make_phantom(spec, matrix):
     """Rasterize a phantom from a preset name or a region list.
 

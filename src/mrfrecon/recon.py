@@ -11,9 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tape, c2r_channels, r2c_channels
-from .dictionary import _match_arrays, compressed_atoms, dictionary_match
+from .dictionary import _atom_maps, _match_arrays, compressed_atoms, dictionary_match
 from .errors import ReconDivergence
-from .maps import QMaps
 
 DIVERGENCE_FACTOR = 1e6
 
@@ -76,13 +75,7 @@ def make_dictionary_prox(grid, sub):
         jstar, pd = _match_arrays(flat, unit_atoms, scale)
         coef = pd * scale[jstar]
         x = (unit_atoms[jstar] * coef[:, None]).T.reshape(s, h, w)
-        maps = QMaps(
-            t1_ms=grid.atom_t1_ms[jstar].reshape(h, w),
-            t2_ms=grid.atom_t2_ms[jstar].reshape(h, w),
-            pd=pd.reshape(h, w),
-            mask=np.ones((h, w), dtype=bool),
-        )
-        return x, maps
+        return x, _atom_maps(grid, jstar, pd, (h, w))
 
     return prox
 

@@ -1,7 +1,7 @@
 """Reference code that only the tests use: the brute-force isochromat Bloch
 simulator that validates the EPG recursion, single-tissue EPG, the identity
-prox of plain gradient descent, and the expansion of compressed channels
-back to full length."""
+prox of plain gradient descent, the expansion of compressed channels back to
+full length, and phantom regions snapped onto a dictionary grid."""
 
 import numpy as np
 
@@ -70,3 +70,20 @@ def decompress(tsmi_s, sub):
     if z.shape[0] != sub.s:
         raise ValueError(f"expected {sub.s} channels (compressed), got {z.shape[0]}")
     return np.tensordot(sub.basis, z, axes=(1, 0))
+
+
+def snap_regions_to_grid(regions, t1_values, t2_values):
+    """Quantize each region's (t1, t2) to the nearest valid dictionary pair."""
+    t1_values = np.asarray(t1_values, dtype=float)
+    t2_values = np.asarray(t2_values, dtype=float)
+    snapped = []
+    for entry in regions:
+        t1 = t1_values[np.argmin(np.abs(t1_values - float(entry["t1"])))]
+        valid_t2 = t2_values[t2_values <= t1]
+        if valid_t2.size == 0:
+            raise ValueError(f"no valid t2 grid value below t1={t1:g}")
+        t2 = valid_t2[np.argmin(np.abs(valid_t2 - float(entry["t2"])))]
+        out = dict(entry)
+        out["t1"], out["t2"] = float(t1), float(t2)
+        snapped.append(out)
+    return snapped

@@ -288,6 +288,11 @@ def test_invalid_grid_exit_code_names_field(tmp_path):
         ("simulate", "trajectory.kind", "cartesian_full"),
         ("simulate", "trajectory.r", 1000),  # the dictionary has 40 frames
         ("simulate", "noise.sigma", -1.0),
+        ("simulate", "noise.sigma", float("nan")),
+        ("simulate", "noise.sigma", float("inf")),
+        ("simulate", "phantom.regions", 5),
+        ("simulate", "phantom.preset", [1]),
+        ("build-dict", "sequence.flip_csv", [1, 2]),
         ("simulate", "epg.k_max", 1),
         ("build-dict", "epg.k_max", 1),
         ("build-dict", "grid.t2", {"min": 2500.0, "max": 3000.0, "count": 6}),
@@ -476,9 +481,11 @@ def test_config_that_names_a_directory_is_a_config_error(tmp_path, capsys):
 
 
 # Settings whose JSON type does not fit their key: integer keys take only
-# integers, number keys only numbers, boolean keys only true or false (a JSON
-# boolean is neither an integer nor a number). Each was once read through
-# int(), float() or bool(): rounded, taken by its truth value, or a crash.
+# integers, number keys only finite numbers (json reads NaN, Infinity and
+# 1e400 as floats), boolean keys only true or false (a JSON boolean is neither
+# an integer nor a number), string and list keys only strings and lists. Each
+# was once read through int(), float() or bool(): rounded, taken by its truth
+# value, or a crash.
 WRONG_TYPE_SETTINGS = [
     ("build-dict", "subspace.s", 2.7),
     ("build-dict", "subspace.s", True),
@@ -502,6 +509,18 @@ WRONG_TYPE_SETTINGS = [
     ("train", "train.decoder_offgrid", 300.5),
     ("train", "train.beta", [1.0, True, 0.6]),
     ("train", "train.seed", False),
+    ("build-dict", "sequence.tr_ms", float("nan")),
+    ("build-dict", "sequence.te_ms", float("inf")),
+    ("build-dict", "sequence.ti_ms", float("-inf")),
+    ("build-dict", "grid.t1.min", float("nan")),
+    ("build-dict", "grid.t1.max", float("inf")),
+    ("build-dict", "grid.t2.max", float("nan")),
+    ("reconstruct", "recon.step_size", float("inf")),
+    ("train", "train.lambda", float("nan")),
+    ("train", "train.lr", float("inf")),
+    ("train", "train.decoder_lr", float("nan")),
+    ("train", "train.decoder_threshold", float("inf")),
+    ("train", "train.beta", [1.0, float("nan"), 0.6]),
 ]
 
 
@@ -521,6 +540,15 @@ def test_setting_of_the_wrong_type_is_a_config_error_naming_its_key(
     assert cli.main([str(a) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("literal", ["1e400", "-1e400", "1" + "0" * 400])
+def test_number_beyond_the_float_range_is_a_config_error(tmp_path, capsys, literal):
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"sequence": {"tr_ms": %s}}' % literal)
+    assert cli.main(["build-dict", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "sequence.tr_ms" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -790,6 +818,9 @@ BAD_TRAIN_SETTINGS = [
     ("train.n_train", 0),
     ("train.width", 0),
     ("phantom.matrix", 4),
+    ("train.lr", 0.0),
+    ("train.decoder_lr", -1e-3),
+    ("train.decoder_threshold", 0.0),  # no validation error is below 0
 ]
 
 

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import snap_regions_to_grid
+
 from mrfrecon.acquisition import AcquisitionOperator, make_trajectory, simulate_coil_maps
 from mrfrecon.dictionary import compress
 from mrfrecon.epg import simulate_epg_batch
@@ -19,7 +21,6 @@ from mrfrecon.phantom import (
     phantom_tsmi,
     random_regions,
     simulate_measurements,
-    snap_regions_to_grid,
 )
 
 

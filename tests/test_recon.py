@@ -2,10 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import identity_prox
+from helpers import identity_prox, snap_regions_to_grid
 
 from mrfrecon.acquisition import AcquisitionOperator, make_trajectory, simulate_coil_maps
-from mrfrecon.dictionary import compress, compressed_atoms
+from mrfrecon.dictionary import compress, compressed_atoms, dictionary_match
 from mrfrecon.errors import ReconDivergence
 from mrfrecon.neuralprox import UnrolledModel
 from mrfrecon.recon import (
@@ -225,6 +225,25 @@ def test_dictionary_prox_max_correlation_vs_brute_force(small_dict):
         )
 
 
+def test_dictionary_prox_and_bp_dm_match_alike(small_dict):
+    # bp-dm (dictionary_match) and the dm-pgd prox turn matched atoms into maps
+    # through one path: the same maps, plane for plane
+    grid, sub = small_dict
+    unit_atoms, scale = compressed_atoms(grid, sub)
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal((sub.s, 5, 6)) + 1j * rng.standard_normal((sub.s, 5, 6))
+    x, maps = make_dictionary_prox(grid, sub)(g)
+    ref = dictionary_match(g, grid, sub=sub)
+    for prop in ("t1", "t2", "pd"):
+        npt.assert_array_equal(maps.property_map(prop), ref.property_map(prop))
+    npt.assert_array_equal(maps.mask, ref.mask)
+    # x holds PD x scale x the unit compressed atom of each voxel's match
+    pairs = list(zip(grid.atom_t1_ms, grid.atom_t2_ms))
+    j = np.array([pairs.index(p) for p in zip(ref.t1_ms.ravel(), ref.t2_ms.ravel())])
+    atoms = (ref.pd.ravel() * scale[j])[:, None] * unit_atoms[j]
+    npt.assert_array_equal(x, atoms.T.reshape(g.shape))
+
+
 def test_dictionary_prox_nonexpansive(small_dict):
     grid, sub = small_dict
     rng = np.random.default_rng(3)
@@ -269,7 +288,7 @@ def test_backprojection_baseline_needs_a_path(small_dict):
 
 def test_exact_recovery_small_on_grid_phantom(small_dict, short_seq):
     # noiseless r=1 full Cartesian: back-projection + matching is exact
-    from mrfrecon.phantom import make_phantom, phantom_tsmi, snap_regions_to_grid
+    from mrfrecon.phantom import make_phantom, phantom_tsmi
     from mrfrecon.phantom import PRESETS
     from mrfrecon.dictionary import dictionary_match
 
@@ -281,7 +300,7 @@ def test_exact_recovery_small_on_grid_phantom(small_dict, short_seq):
     traj = make_trajectory("cartesian_full", 16, frames=grid.n_frames)
     op = AcquisitionOperator(simulate_coil_maps(2, 16), traj, sub)
     y = op.forward(phantom_tsmi(ph, short_seq, sub))
-    maps = dictionary_match(op.backproject(y), grid, sub=sub, mask=ph.maps.mask)
+    maps = dictionary_match(op.backproject(y), grid, sub=sub)
     m = ph.maps.mask
     npt.assert_array_equal(maps.t1_ms[m], ph.maps.t1_ms[m])
     npt.assert_array_equal(maps.t2_ms[m], ph.maps.t2_ms[m])
