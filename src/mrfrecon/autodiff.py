@@ -28,7 +28,9 @@ The acquisition enters the graph only as its normal operator N = H^H H
 (apply_normal): complex-linear and self-adjoint, so its vector-Jacobian product
 is N again. Everything else stays real; complex channels are carried as
 stacked real/imaginary planes. conv2d builds no column matrix: it sums one small
-matmul per kernel tap.
+matmul per kernel tap over one zero-filled padded buffer per operand. Its VJP
+pads g once, for dx (with the flipped kernel) and dw (an interior run, each row of
+g followed by kw - 1 zeros); that buffer lives only inside the VJP, never on the tape.
 """
 
 import numpy as np
@@ -112,18 +114,24 @@ def _tap_runs(xp, kh, kw, h, wd):
             yield i, j, xp[:, i * row + j : i * row + j + h * row]
 
 
-def _conv_same(x, wv):
-    """Same convolution without bias, the sum over taps of w[:, :, i, j] @ run with the kw - 1
-    wrapped columns of each row cropped once; also the flat padded input (spare zero row last)."""
-    cout, cin, kh, kw = wv.shape
-    h, wd = x.shape[1:]
-    xp = np.pad(x, ((0, 0), (kh // 2, kh // 2 + 1), (kw // 2, kw // 2))).reshape(cin, -1)
+def _padded(x, kh, kw):
+    """x (C, H, W) inside one zero-filled (C, H + kh, W + kw - 1) buffer, flat, spare row last."""
+    c, h, wd = x.shape
+    xp = np.zeros((c, h + kh, wd + kw - 1))
+    xp[:, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + wd] = x
+    return xp.reshape(c, -1)
+
+
+def _conv_same(xp, wv, h, wd):
+    """Same convolution without bias of the flat padded operand xp (from _padded), the sum
+    over taps of w[:, :, i, j] @ run with the kw - 1 wrapped columns of each row cropped once."""
+    cout, _, kh, kw = wv.shape
     taps = np.ascontiguousarray(wv.transpose(2, 3, 0, 1))
     acc = np.zeros((cout, h * (wd + kw - 1)))
     prod = np.empty_like(acc)
     for i, j, run in _tap_runs(xp, kh, kw, h, wd):
         acc += np.matmul(taps[i, j], run, out=prod)
-    return acc.reshape(cout, h, -1)[:, :, :wd], xp
+    return acc.reshape(cout, h, -1)[:, :, :wd]
 
 
 class Tape:
@@ -285,22 +293,25 @@ class Tape:
                 f"conv2d needs x (Cin, H, W) with Cin = w.shape[1]; x is {xv.shape}, w {wv.shape}"
             )
         h, wd = xv.shape[1:]
-        conv, xp = _conv_same(xv, wv)
-        out = conv + b.value[:, None, None]
+        xp = _padded(xv, kh, kw)
+        out = _conv_same(xp, wv, h, wd) + b.value[:, None, None]
         # dw reads the padded input, dx the kernel
         xp = xp if w.needs_grad else None
         flipped = wv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3) if x.needs_grad else None
         b_grad = b.needs_grad
+        row = wd + kw - 1
+        start = (kh // 2) * row + kw // 2  # g padded like x: g's rows from here, kw - 1 zeros apart
 
         def vjp(g):
             dx = dw = None
+            gp = _padded(g, kh, kw) if xp is not None or flipped is not None else None
             if xp is not None:
-                gext = np.pad(g, ((0, 0), (0, 0), (0, kw - 1))).reshape(cout, -1)
+                gext = gp[:, start : start + h * row]
                 dw = np.empty((cout, cin, kh, kw))
                 for i, j, run in _tap_runs(xp, kh, kw, h, wd):
                     dw[:, :, i, j] = gext @ run.T
             if flipped is not None:  # the same convolution of g, kernel flipped and in/out swapped
-                dx = _conv_same(g, flipped)[0]
+                dx = _conv_same(gp, flipped, h, wd)
             return dx, dw, g.sum(axis=(1, 2)) if b_grad else None
 
         return self._record(out, (x, w, b), vjp)

@@ -176,11 +176,10 @@ def kaiser_bessel_ft(x, width, beta):
 
 
 def is_integer_trajectory(points, matrix):
-    """True when every coordinate is an integer within the Nyquist band."""
+    """True when every coordinate is within 1e-9 (absolute) of an integer and in the band."""
     pts = np.asarray(points)
     return bool(
-        np.all(np.abs(pts) <= 0.5 * matrix + 1e-9)
-        and np.allclose(pts, np.round(pts), atol=1e-9)
+        np.all(np.abs(pts) <= 0.5 * matrix + 1e-9) and np.all(np.abs(pts - np.round(pts)) <= 1e-9)
     )
 
 

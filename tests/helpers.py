@@ -1,7 +1,8 @@
 """Reference code that only the tests use: the brute-force isochromat Bloch
 simulator that validates the EPG recursion, single-tissue EPG, the identity
 prox of plain gradient descent, the expansion of compressed channels back to
-full length, and phantom regions snapped onto a dictionary grid."""
+full length, phantom regions snapped onto a dictionary grid, and the np.pad
+formulation of the tape's conv2d."""
 
 import numpy as np
 
@@ -87,3 +88,35 @@ def snap_regions_to_grid(regions, t1_values, t2_values):
         out["t1"], out["t2"] = float(t1), float(t2)
         snapped.append(out)
     return snapped
+
+
+def _conv_same_np_pad(x, wv):
+    """Same convolution without bias of x (C, H, W), its padding built by np.pad; also the
+    flat padded input (spare zero row last)."""
+    cout, cin, kh, kw = wv.shape
+    h, wd = x.shape[1:]
+    row = wd + kw - 1
+    xp = np.pad(x, ((0, 0), (kh // 2, kh // 2 + 1), (kw // 2, kw // 2))).reshape(cin, -1)
+    taps = np.ascontiguousarray(wv.transpose(2, 3, 0, 1))
+    acc = np.zeros((cout, h * row))
+    prod = np.empty_like(acc)
+    for i in range(kh):
+        for j in range(kw):
+            acc += np.matmul(taps[i, j], xp[:, i * row + j : i * row + j + h * row], out=prod)
+    return acc.reshape(cout, h, -1)[:, :, :wd], xp
+
+
+def conv2d_np_pad(x, w, b, g):
+    """The tape's conv2d as it was when np.pad built every padding: the value and, for an
+    upstream gradient g, (dx, dw, db)."""
+    cout, cin, kh, kw = w.shape
+    h, wd = x.shape[1:]
+    row = wd + kw - 1
+    conv, xp = _conv_same_np_pad(x, w)
+    gext = np.pad(g, ((0, 0), (0, 0), (0, kw - 1))).reshape(cout, -1)
+    dw = np.empty((cout, cin, kh, kw))
+    for i in range(kh):
+        for j in range(kw):
+            dw[:, :, i, j] = gext @ xp[:, i * row + j : i * row + j + h * row].T
+    dx = _conv_same_np_pad(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))[0]
+    return conv + b[:, None, None], dx, dw, g.sum(axis=(1, 2))

@@ -12,6 +12,8 @@ from mrfrecon.acquisition import AcquisitionOperator, make_trajectory, simulate_
 from mrfrecon.autodiff import Adam, Param, Tape, c2r_channels, r2c_channels
 from mrfrecon.errors import TrainingFailure
 
+from helpers import conv2d_np_pad
+
 
 def finite_diff(make_loss, param, h=1e-6):
     """Central differences over every component of `param`."""
@@ -144,17 +146,21 @@ def _conv2d_loops(x, w, b, g):
     return out, dx, dw, g.sum(axis=(1, 2))
 
 
-@pytest.mark.parametrize(
-    "cin, cout, kh, kw, h, wd",
-    [
-        (3, 4, 3, 3, 5, 7),
-        (2, 5, 1, 1, 5, 7),
-        (3, 2, 5, 5, 5, 7),
-        (4, 3, 3, 3, 7, 5),
-        (2, 3, 1, 3, 4, 6),
-    ],
-)
-def test_conv2d_matches_im2col_and_direct_loops(cin, cout, kh, kw, h, wd):
+CONV_SHAPES = [
+    (3, 4, 3, 3, 5, 7),
+    (2, 5, 1, 1, 5, 7),
+    (3, 2, 5, 5, 5, 7),
+    (4, 3, 3, 3, 7, 5),
+    (2, 3, 1, 3, 4, 6),
+    # images smaller than the kernel: a tap run reaches the spare zero row
+    (2, 3, 3, 3, 1, 1),
+    (2, 3, 5, 5, 2, 1),
+    (1, 2, 5, 3, 1, 2),
+]
+
+
+def _taped_conv2d(cin, cout, kh, kw, h, wd):
+    """Random operands (x, w, b, g) and Tape.conv2d's value and (dx, dw, db) for upstream g."""
     rng = np.random.default_rng(12)
     x = Param("x", rng.standard_normal((cin, h, wd)))
     w = Param("w", rng.standard_normal((cout, cin, kh, kw)))
@@ -163,10 +169,22 @@ def test_conv2d_matches_im2col_and_direct_loops(cin, cout, kh, kw, h, wd):
     tape = Tape()
     out = tape.conv2d(tape.leaf(x), tape.leaf(w), tape.leaf(b))
     grads = tape.backward(out, seed=g)
-    got = (out.value, grads[x], grads[w], grads[b])
+    return (x.value, w.value, b.value, g), (out.value, grads[x], grads[w], grads[b])
+
+
+@pytest.mark.parametrize("cin, cout, kh, kw, h, wd", CONV_SHAPES)
+def test_conv2d_matches_im2col_and_direct_loops(cin, cout, kh, kw, h, wd):
+    operands, got = _taped_conv2d(cin, cout, kh, kw, h, wd)
     for reference in (_conv2d_im2col, _conv2d_loops):
-        for a, ref in zip(got, reference(x.value, w.value, b.value, g)):
+        for a, ref in zip(got, reference(*operands)):
             npt.assert_allclose(a, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("cin, cout, kh, kw, h, wd", CONV_SHAPES)
+def test_conv2d_equals_the_np_pad_formulation_bit_for_bit(cin, cout, kh, kw, h, wd):
+    operands, got = _taped_conv2d(cin, cout, kh, kw, h, wd)
+    for a, ref in zip(got, conv2d_np_pad(*operands)):
+        npt.assert_array_equal(a, ref)
 
 
 def test_conv2d_gradients_non_square():
@@ -468,9 +486,9 @@ def test_conv2d_on_a_constant_input_runs_no_input_gradient_convolution(monkeypat
     calls = []
     real = autodiff._conv_same
 
-    def spy(x, wv):
-        calls.append(x.shape)
-        return real(x, wv)
+    def spy(xp, wv, h, wd):
+        calls.append((xp.shape[0], h, wd))
+        return real(xp, wv, h, wd)
 
     monkeypatch.setattr(autodiff, "_conv_same", spy)
     rng = np.random.default_rng(22)

@@ -8,6 +8,7 @@ import pytest
 from conftest import naive_dft2
 
 from mrfrecon import nufft
+from mrfrecon.acquisition import make_trajectory
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +74,32 @@ def test_plan_selection(random_case):
     ints = np.round(pts[None])
     np.clip(ints, -n // 2, n // 2, out=ints)
     assert isinstance(nufft.make_plan(n, ints), nufft.CartesianExactPlan)
+
+
+def test_near_integer_trajectory_is_gridded_not_rounded():
+    # 1e-4 and 5e-5 cycles/FOV off the grid: inside a relative 1e-5 at these |k|, not on it
+    n = 32
+    pts = np.array([[[15.0001, 3.0], [-7.00005, 2.0]]])
+    assert isinstance(nufft.make_plan(n, pts), nufft.GriddingPlan)
+    assert isinstance(nufft.make_plan(n, np.round(pts)), nufft.CartesianExactPlan)
+    edge = np.array([[[16.0, -16.0], [0.0, 1.0 + 1e-12]]])  # the band edge, float noise
+    assert isinstance(nufft.make_plan(n, edge), nufft.CartesianExactPlan)
+
+
+@pytest.mark.parametrize(
+    "kind, d, frames, exact",
+    [
+        ("golden_radial", None, 1, True),  # frame 0 is the horizontal integer spoke
+        ("golden_radial", None, 10, False),
+        ("golden_radial", 48, 10, False),
+        ("cartesian_full", None, 3, True),
+        ("cartesian_lines", None, 40, True),
+    ],
+)
+def test_built_trajectories_keep_their_plan(kind, d, frames, exact):
+    traj = make_trajectory(kind, 32, d=d, frames=frames)
+    plan = nufft.make_plan(32, traj.points)
+    assert isinstance(plan, nufft.CartesianExactPlan if exact else nufft.GriddingPlan)
 
 
 def test_forward_linearity(random_case):
