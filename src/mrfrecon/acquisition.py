@@ -17,7 +17,7 @@ instead of per-frame NUFFTs both ways, zero-padded to 2N for off-grid
 trajectories and on the N grid itself for integer ones.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,6 +73,9 @@ def make_trajectory(kind, matrix, d=None, frames=1):
     cartesian_full: the complete integer grid every frame (d is forced to
     matrix^2); used by oracle tests and exact-recovery setups.
     cartesian_lines: one integer ky line per frame, cycling through the grid.
+    Each kind's first F frames are the same whatever `frames` is, so
+    acceleration r, which keeps the first L // r of L frames, is the
+    trajectory made with frames=L // r.
     """
     if frames < 1:
         raise ValueError("frames must be >= 1")
@@ -100,20 +103,6 @@ def make_trajectory(kind, matrix, d=None, frames=1):
     else:
         raise ValueError(f"unknown trajectory kind {kind!r}")
     return Trajectory(kind=kind, matrix=n, points=pts)
-
-
-def truncate_acceleration(traj, r):
-    """Keep only the first floor(L/r) frames of a trajectory.
-
-    The temporal subspace is NOT recomputed; basis rows beyond the retained
-    frames are simply unused downstream.
-    """
-    if r < 1:
-        raise ValueError("acceleration factor must be >= 1")
-    keep = traj.frames // int(r)
-    if keep < 1:
-        raise ValueError(f"acceleration r={r} leaves no frames of {traj.frames}")
-    return replace(traj, points=traj.points[:keep])
 
 
 def simulate_coil_maps(n_coils, matrix):
@@ -149,7 +138,7 @@ def simulate_coil_maps(n_coils, matrix):
     return maps / rss
 
 
-def density_compensation(traj, integer=None):
+def density_compensation(traj, integer):
     """Per-sample weights for the back-projection path.
 
     Flat 1/N^2 for integer Cartesian sampling: with an orthonormal full-length
@@ -157,12 +146,10 @@ def density_compensation(traj, integer=None):
     exact inverse. Radial spokes get a ramp |k| with area normalization.
     Approximate by design: only the standalone back-projection uses these
     weights. `integer` says whether the trajectory is integer, as its plan
-    already decided; by default it is decided from the points.
+    decided.
     """
     n = traj.matrix
     f, d = traj.frames, traj.d
-    if integer is None:
-        integer = nufft.is_integer_trajectory(traj.points, n)
     if integer:
         return np.full((f, d), 1.0 / (n * n), dtype=float)
     radius = np.hypot(traj.points[..., 0], traj.points[..., 1])

@@ -27,7 +27,6 @@ from .acquisition import (
     AcquisitionOperator,
     make_trajectory,
     simulate_coil_maps,
-    truncate_acceleration,
 )
 from .dictionary import build_dictionary, compute_subspace, valid_pairs
 from .epg import SequenceParams, load_flip_schedule_csv, sinusoidal_flip_schedule
@@ -257,8 +256,7 @@ def build_operator(cfg, matrix, sub):
         )
     d = matrix if tc["d"] is None else _at_least(cfg, "trajectory.d", 1)
     coil_maps = simulate_coil_maps(_at_least(cfg, "coils.count", 1), matrix)
-    traj = make_trajectory(tc["kind"], matrix, d=d, frames=sub.n_frames)
-    traj = truncate_acceleration(traj, r)
+    traj = make_trajectory(tc["kind"], matrix, d=d, frames=sub.n_frames // r)
     return AcquisitionOperator(coil_maps, traj, sub), traj
 
 

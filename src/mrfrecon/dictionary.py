@@ -35,7 +35,8 @@ class DictionaryGrid:
 
     atoms has unit-norm real rows (see real_table); atom_norms keeps the
     pre-normalization norms so proton density can be de-scaled after matching.
-    atom_t1_ms/atom_t2_ms map an atom index back to its grid values.
+    atom_t1_ms/atom_t2_ms map an atom index back to its grid values. Each of
+    the three holds one entry per atom, checked on construction.
     """
 
     t1_values_ms: np.ndarray
@@ -48,6 +49,9 @@ class DictionaryGrid:
 
     def __post_init__(self):
         self.atoms = real_table(self.atoms, "real atom table")
+        for name in ("atom_norms", "atom_t1_ms", "atom_t2_ms"):
+            if np.shape(getattr(self, name)) != (self.n_atoms,):
+                raise ValueError(f"{name} does not hold one entry per atom of {self.n_atoms}")
 
     @property
     def n_atoms(self):

@@ -6,7 +6,8 @@ to physical ranges, the decoder a small per-voxel MLP fit to compressed EPG
 responses. Unrolled training differentiates through T iterations of
 recon.pgd_iterates, the one PGD iteration inference runs too, normal operator
 H^H H included, with the encoder weights shared across iterations and one
-trainable log step size per iteration.
+trainable log step size per iteration. All three training stages run one
+epoch loop, _fit, under one divergence rule.
 """
 
 from dataclasses import dataclass
@@ -271,26 +272,35 @@ def unrolled_loss_nodes(tape, model, y, op, x0, truth, cfg, constants=None):
     return loss, m
 
 
-def _step(opt, loss_of, *args):
-    """One Adam step on a fresh tape, where loss_of(tape, *args) records the
+def _step(opt, loss_of, sel):
+    """One Adam step on a fresh tape, where loss_of(tape, sel) records the
     loss node; returns the loss. The step's graph is freed on return, so it is
     gone before the caller records the next one."""
     tape = Tape()
-    loss = loss_of(tape, *args)
+    loss = loss_of(tape, sel)
     opt.step(tape.backward(loss))
     return float(loss.value)
 
 
-def _epoch_losses(samples, params, cfg, loss_of):
-    """Adam on `params` over cfg.epochs shuffled passes; yields each epoch's
-    mean loss. loss_of(tape, *sample) records one sample's loss node."""
-    opt = Adam(params, lr=cfg.lr)
-    rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.epochs):
+def _fit(opt, rng, epochs, n, batch, loss_of):
+    """The epoch loop of every training stage: `batch` of the n samples per
+    Adam step, in rng.permutation(n) order, where loss_of(tape, sel) records
+    the mean loss node of the samples `sel`. Returns each epoch's mean loss;
+    a non-finite one, or one above 1e6 times the first, raises TrainingFailure."""
+    if n < 1:
+        raise ValueError("dataset must be non-empty")
+    history = []
+    for _ in range(epochs):
+        order = rng.permutation(n)
         total = 0.0
-        for idx in rng.permutation(len(samples)):
-            total += _step(opt, loss_of, *samples[idx])
-        yield total / len(samples)
+        for lo in range(0, n, batch):
+            sel = order[lo : lo + batch]
+            total += _step(opt, loss_of, sel) * sel.size
+        loss = total / n
+        history.append(loss)
+        if not np.isfinite(loss) or loss > 1e6 * max(history[0], 1e-300):
+            raise TrainingFailure(f"training diverged: epoch loss {loss:g}")
+    return history
 
 
 def train_unrolled(dataset, op, model, cfg):
@@ -305,8 +315,6 @@ def train_unrolled(dataset, op, model, cfg):
     Returns:
         (model, per-epoch mean loss history). Deterministic for a fixed seed.
     """
-    if not dataset:
-        raise ValueError("dataset must be non-empty")
     if not model.decoder.frozen:
         raise ValueError("decoder must be pretrained and frozen before unrolling")
     samples = []
@@ -314,36 +322,28 @@ def train_unrolled(dataset, op, model, cfg):
         x0 = op.backproject(y, equalize=False)
         samples.append((np.asarray(y), x0, truth, sample_constants(y, op, x0)))
 
-    def loss_of(tape, y, x0, truth, constants):
+    def loss_of(tape, sel):
+        y, x0, truth, constants = samples[sel[0]]
         return unrolled_loss_nodes(tape, model, y, op, x0, truth, cfg, constants)[0]
 
-    history = []
-    for loss in _epoch_losses(samples, model.trainable_parameters(), cfg, loss_of):
-        history.append(loss)
-        if not np.isfinite(loss) or (len(history) > 1 and loss > 1e6 * max(history[0], 1e-300)):
-            raise TrainingFailure(f"training diverged: epoch loss {loss:g}")
-    return model, history
+    opt = Adam(model.trainable_parameters(), lr=cfg.lr)
+    return model, _fit(opt, np.random.default_rng(cfg.seed), cfg.epochs, len(samples), 1, loss_of)
 
 
 def pretrain_encoder(dataset, op, encoder, cfg):
     """Supervised baseline training on back-projected TSMIs (map loss only)."""
-    if not dataset:
-        raise ValueError("dataset must be non-empty")
     samples = [
         (c2r_channels(op.backproject(y, equalize=False)), truth)
         for y, truth in dataset
     ]
 
-    def loss_of(tape, x0, truth):
+    def loss_of(tape, sel):
+        x0, truth = samples[sel[0]]
         m = encoder.apply(tape, tape.constant(x0))
         return tape.weighted_sum(_map_terms(tape, m, truth), list(cfg.beta))
 
-    history = []
-    for loss in _epoch_losses(samples, encoder.parameters(), cfg, loss_of):
-        history.append(loss)
-        if not np.isfinite(loss):
-            raise TrainingFailure("encoder pretraining diverged")
-    return encoder, history
+    opt = Adam(encoder.parameters(), lr=cfg.lr)
+    return encoder, _fit(opt, np.random.default_rng(cfg.seed), cfg.epochs, len(samples), 1, loss_of)
 
 
 def _sample_offgrid_pairs(rng, n, t1_range, t2_range):
@@ -428,15 +428,7 @@ def pretrain_bloch_decoder(
     def batch_loss(tape, sel):
         return tape.mse(decoder.mlp(tape, tape.constant(feats[sel])), targets[sel])
 
-    n = t1_all.shape[0]
-    history = []
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for lo in range(0, n, DECODER_BATCH):
-            sel = order[lo : lo + DECODER_BATCH]
-            total += _step(opt, batch_loss, sel) * sel.size
-        history.append(total / n)
+    history = _fit(opt, rng, epochs, t1_all.shape[0], DECODER_BATCH, batch_loss)
 
     err = decoder_validation_error(decoder, val_t1, val_t2, val_targets)
     if err >= threshold:

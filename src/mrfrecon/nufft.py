@@ -15,8 +15,9 @@ a per-tap phase, so no fftshift passes are needed: the image sits in the
 corner of the oversampled grid and plain fft2/ifft2 do the rest.
 
 Trajectories whose coordinates are all integers (full or line Cartesian) are
-evaluated exactly as gridding with a single tap on the N grid itself: integer
-frequencies alias exactly, so this path is both faster and error-free.
+evaluated exactly with one tap per sample on the N grid itself, a gather at
+its bin times a sign: integer frequencies alias exactly, so this path is both
+faster and error-free.
 
 Both plans transform K channel images, not frames: one FFT pass covers them,
 and a real (frames x K) mixing matrix, the temporal basis, takes them to the
@@ -294,23 +295,22 @@ class GriddingPlan:
 
 
 class CartesianExactPlan:
-    """Exact sampler for integer-frequency trajectories: gridding with one
-    tap on the N grid itself.
+    """Exact sampler for integer-frequency trajectories: one tap per sample,
+    on the N grid itself.
 
     Integer frequencies fall on grid bins (k mod N) and alias exactly, so
-    nothing needs deapodizing; the tap weight (-1)^(kx+ky) accounts for the
-    centered-image convention exactly.
+    nothing needs deapodizing; the tap weight, the sign (-1)^(kx+ky),
+    accounts for the centered-image convention exactly. flat_index and
+    weights are (frames, d): each sample's bin and sign.
     """
 
     def __init__(self, matrix, points):
         n = matrix
         pts = np.round(np.asarray(points)).astype(np.int64)
-        ix = np.mod(pts[..., 0], n)
-        iy = np.mod(pts[..., 1], n)
         self.matrix = self.grid = n
         self.width = 1
-        self.flat_index = (iy * n + ix)[..., None]  # (frames, d, 1)
-        self.weights = np.where((pts[..., 0] + pts[..., 1]) % 2 == 0, 1.0, -1.0)[..., None]
+        self.flat_index = np.mod(pts[..., 1], n) * n + np.mod(pts[..., 0], n)
+        self.weights = np.where((pts[..., 0] + pts[..., 1]) % 2 == 0, 1.0, -1.0)
         self.frames, self.d = pts.shape[:2]
 
     def forward(self, images, mixing):
@@ -329,10 +329,9 @@ class CartesianExactPlan:
         out = np.empty((f, b, self.d), dtype=np.complex128)
         for lo in range(0, f, _FRAME_CHUNK):
             hi = min(lo + _FRAME_CHUNK, f)
-            frames = _mix(mixing[lo:hi], spec).ravel()  # (frames, B, g^2)
-            offs = (np.arange((hi - lo) * b) * (g * g)).reshape(hi - lo, b, 1, 1)
-            gathered = frames[self.flat_index[lo:hi, None] + offs]
-            out[lo:hi] = np.sum(gathered * self.weights[lo:hi, None], axis=3)
+            frames = _mix(mixing[lo:hi], spec).reshape(hi - lo, b, g * g)
+            gathered = np.take_along_axis(frames, self.flat_index[lo:hi, None], axis=2)
+            out[lo:hi] = gathered * self.weights[lo:hi, None]
         return out
 
     def adjoint(self, samples, mixing):
@@ -348,9 +347,8 @@ class CartesianExactPlan:
         for lo in range(0, f, _FRAME_CHUNK):
             hi = min(lo + _FRAME_CHUNK, f)
             nf = hi - lo
-            vals = samples[lo:hi, :, :, None] * self.weights[lo:hi, None].conj()
-            offs = (np.arange(nf * b) * (g * g)).reshape(nf, b, 1, 1)
-            idx = self.flat_index[lo:hi, None] + offs
+            vals = samples[lo:hi] * self.weights[lo:hi, None]
+            idx = self.flat_index[lo:hi, None] + (np.arange(nf * b) * (g * g)).reshape(nf, b, 1)
             grids = _scatter_add(idx, vals, nf * b * g * g).reshape(nf, -1)
             spec += _mix(mixing[lo:hi].T, grids)
         return _oversampled_fft2_adjoint(spec.reshape(-1, b, g, g), n)
@@ -370,7 +368,7 @@ class CartesianExactPlan:
         kernel = np.zeros((n * n, weights.shape[1]))
         for lo in range(0, self.frames, _FRAME_CHUNK):
             hi = min(lo + _FRAME_CHUNK, self.frames)
-            idx = self.flat_index[lo:hi] + (np.arange(hi - lo) * (n * n))[:, None, None]
+            idx = self.flat_index[lo:hi] + (np.arange(hi - lo) * (n * n))[:, None]
             counts = np.bincount(idx.ravel(), minlength=(hi - lo) * n * n)
             kernel += counts.reshape(hi - lo, -1).T @ weights[lo:hi]
         return _pair_kernel_blocks(kernel, rows, cols)

@@ -225,15 +225,21 @@ def load_dictionary(directory):
     t = read_tensors(
         directory, ("atoms", "atom_norms", "atom_t1", "atom_t2", "subspace", "singular_values")
     )
-    grid = DictionaryGrid(
-        t1_values_ms=np.asarray(meta["t1_values_ms"]),
-        t2_values_ms=np.asarray(meta["t2_values_ms"]),
-        atoms=t["atoms"],
-        atom_norms=t["atom_norms"],
-        atom_t1_ms=t["atom_t1"],
-        atom_t2_ms=t["atom_t2"],
-        seq=seq,
-    )
+    t1_values, t2_values = np.asarray(meta["t1_values_ms"]), np.asarray(meta["t2_values_ms"])
+    try:
+        grid = DictionaryGrid(
+            t1_values_ms=t1_values,
+            t2_values_ms=t2_values,
+            atoms=t["atoms"],
+            atom_norms=t["atom_norms"],
+            atom_t1_ms=t["atom_t1"],
+            atom_t2_ms=t["atom_t2"],
+            seq=seq,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{directory}: {exc}") from None
+    if len(t["subspace"]) != grid.n_frames:
+        raise ValueError(f"{directory}: subspace has not one row per frame of the atoms")
     return grid, Subspace(basis=t["subspace"], singular_values=t["singular_values"])
 
 

@@ -1,11 +1,13 @@
 """Reference code that only the tests use: the brute-force isochromat Bloch
 simulator that validates the EPG recursion, single-tissue EPG, the identity
 prox of plain gradient descent, the expansion of compressed channels back to
-full length, phantom regions snapped onto a dictionary grid, and the np.pad
-formulation of the tape's conv2d."""
+full length, phantom regions snapped onto a dictionary grid, the np.pad
+formulation of the tape's conv2d, and the exact Cartesian sampler with a tap
+axis of length one."""
 
 import numpy as np
 
+from mrfrecon import nufft
 from mrfrecon.epg import DEFAULT_K_MAX, simulate_epg_batch
 
 
@@ -120,3 +122,58 @@ def conv2d_np_pad(x, w, b, g):
             dw[:, :, i, j] = gext @ xp[:, i * row + j : i * row + j + h * row].T
     dx = _conv_same_np_pad(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))[0]
     return conv + b[:, None, None], dx, dw, g.sum(axis=(1, 2))
+
+
+class TapAxisCartesianPlan:
+    """nufft.CartesianExactPlan written as gridding with a (frames, d, 1)
+    tap axis: the gather sums its one tap, the scatter spreads the
+    conjugated sign, and the histogram counts the taps."""
+
+    def __init__(self, matrix, points):
+        n = matrix
+        pts = np.round(np.asarray(points)).astype(np.int64)
+        ix = np.mod(pts[..., 0], n)
+        iy = np.mod(pts[..., 1], n)
+        self.matrix = self.grid = n
+        self.flat_index = (iy * n + ix)[..., None]  # (frames, d, 1)
+        self.weights = np.where((pts[..., 0] + pts[..., 1]) % 2 == 0, 1.0, -1.0)[..., None]
+        self.frames, self.d = pts.shape[:2]
+
+    def forward(self, images, mixing):
+        k, b = images.shape[:2]
+        g = self.grid
+        spec = nufft._oversampled_fft2(images, g).reshape(k, -1)
+        f = len(mixing)
+        out = np.empty((f, b, self.d), dtype=np.complex128)
+        for lo in range(0, f, nufft._FRAME_CHUNK):
+            hi = min(lo + nufft._FRAME_CHUNK, f)
+            frames = nufft._mix(mixing[lo:hi], spec).ravel()  # (frames, B, g^2)
+            offs = (np.arange((hi - lo) * b) * (g * g)).reshape(hi - lo, b, 1, 1)
+            gathered = frames[self.flat_index[lo:hi, None] + offs]
+            out[lo:hi] = np.sum(gathered * self.weights[lo:hi, None], axis=3)
+        return out
+
+    def adjoint(self, samples, mixing):
+        f, b = samples.shape[:2]
+        n, g = self.matrix, self.grid
+        spec = np.zeros((mixing.shape[1], b * g * g), dtype=np.complex128)
+        for lo in range(0, f, nufft._FRAME_CHUNK):
+            hi = min(lo + nufft._FRAME_CHUNK, f)
+            nf = hi - lo
+            vals = samples[lo:hi, :, :, None] * self.weights[lo:hi, None].conj()
+            offs = (np.arange(nf * b) * (g * g)).reshape(nf, b, 1, 1)
+            idx = self.flat_index[lo:hi, None] + offs
+            grids = nufft._scatter_add(idx, vals, nf * b * g * g).reshape(nf, -1)
+            spec += nufft._mix(mixing[lo:hi].T, grids)
+        return nufft._oversampled_fft2_adjoint(spec.reshape(-1, b, g, g), n)
+
+    def normal_kernel(self, basis):
+        n = self.matrix
+        weights, rows, cols = nufft._pair_weights(basis)
+        kernel = np.zeros((n * n, weights.shape[1]))
+        for lo in range(0, self.frames, nufft._FRAME_CHUNK):
+            hi = min(lo + nufft._FRAME_CHUNK, self.frames)
+            idx = self.flat_index[lo:hi] + (np.arange(hi - lo) * (n * n))[:, None, None]
+            counts = np.bincount(idx.ravel(), minlength=(hi - lo) * n * n)
+            kernel += counts.reshape(hi - lo, -1).T @ weights[lo:hi]
+        return nufft._pair_kernel_blocks(kernel, rows, cols)

@@ -27,7 +27,6 @@ from mrfrecon.acquisition import (
     AcquisitionOperator,
     make_trajectory,
     simulate_coil_maps,
-    truncate_acceleration,
 )
 from mrfrecon.autodiff import Tape
 from mrfrecon.dictionary import build_dictionary, compute_subspace, dictionary_match
@@ -111,9 +110,7 @@ def trained_models(desk_dict, desk_decoder):
     """
     grid, sub = desk_dict
     n, coils = 48, 4
-    traj = truncate_acceleration(
-        make_trajectory("golden_radial", n, d=n, frames=1000), 10
-    )
+    traj = make_trajectory("golden_radial", n, d=n, frames=1000 // 10)
     op = AcquisitionOperator(simulate_coil_maps(coils, n), traj, sub)
     rng = np.random.default_rng(0)
     dataset = []
@@ -278,9 +275,7 @@ def test_criterion_5b_dictionary_pgd_beats_bp_dm(desk_dict):
     t0 = time.time()
     grid, sub = desk_dict
     ph = make_phantom("default", 64)
-    traj = truncate_acceleration(
-        make_trajectory("golden_radial", 64, d=64, frames=1000), 10
-    )
+    traj = make_trajectory("golden_radial", 64, d=64, frames=1000 // 10)
     op = AcquisitionOperator(simulate_coil_maps(8, 64), traj, sub)
     y = simulate_measurements(ph, grid.seq, sub, op)
 

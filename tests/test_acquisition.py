@@ -14,7 +14,6 @@ from mrfrecon.acquisition import (
     density_compensation,
     make_trajectory,
     simulate_coil_maps,
-    truncate_acceleration,
 )
 from mrfrecon.dictionary import DictionaryGrid, Subspace
 
@@ -71,26 +70,18 @@ def test_out_of_band_rejected():
         Trajectory(kind="x", matrix=8, points=np.full((1, 1, 2), 9.0))
 
 
-# --- acceleration truncation -------------------------------------------------
+# --- acceleration -------------------------------------------------------------
 
 
-def test_truncate_paper_factors():
-    traj = make_trajectory("golden_radial", 8, d=4, frames=1000)
-    assert truncate_acceleration(traj, 10).frames == 100
-    assert truncate_acceleration(traj, 1).frames == 1000
-    assert truncate_acceleration(traj, 1000).frames == 1
-
-
-def test_truncate_keeps_leading_frames():
-    traj = make_trajectory("golden_radial", 8, d=4, frames=20)
-    cut = truncate_acceleration(traj, 4)
-    npt.assert_array_equal(cut.points, traj.points[:5])
-
-
-def test_truncate_empty_error():
-    traj = make_trajectory("golden_radial", 8, d=4, frames=3)
-    with pytest.raises(ValueError):
-        truncate_acceleration(traj, 4)
+@pytest.mark.parametrize("kind", TRAJECTORY_KINDS)
+@pytest.mark.parametrize("r", [1, 2, 3, 10, 40])
+def test_accelerated_trajectory_is_the_first_frames_of_the_full_one(kind, r):
+    # acceleration r keeps the first L // r frames: every kind is a prefix
+    # of its longer runs, so it is made at that length
+    full = make_trajectory(kind, 8, d=8, frames=40)
+    short = make_trajectory(kind, 8, d=8, frames=40 // r)
+    assert short.frames == 40 // r
+    npt.assert_array_equal(short.points, full.points[: 40 // r])
 
 
 # --- coil maps ---------------------------------------------------------------
@@ -271,10 +262,10 @@ def test_backprojection_exact_at_r1_cartesian(small_dict, short_seq):
 
 def test_density_compensation_shapes():
     traj = make_trajectory("golden_radial", 16, d=16, frames=4)
-    w = density_compensation(traj)
+    w = density_compensation(traj, False)
     assert w.shape == (4, 16)
     assert np.all(w > 0)
-    flat = density_compensation(make_trajectory("cartesian_full", 8, frames=2))
+    flat = density_compensation(make_trajectory("cartesian_full", 8, frames=2), True)
     npt.assert_allclose(flat, 1.0 / 64)
 
 
@@ -291,7 +282,8 @@ def test_operator_decides_integer_trajectory_once(monkeypatch, kind):
     traj = make_trajectory(kind, 8, d=8, frames=3)
     op = AcquisitionOperator(simulate_coil_maps(2, 8), traj, np.eye(3))
     assert calls == [8]
-    npt.assert_array_equal(op.dc_weights, density_compensation(traj))
+    integer = kind != "golden_radial"
+    npt.assert_array_equal(op.dc_weights, density_compensation(traj, integer))
 
 
 # --- subspace-first H and H^H against the per-frame chain ----------------------

@@ -641,6 +641,32 @@ def test_truncated_kspace_is_a_one_line_runtime_error(pipeline, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "name, resize",
+    [
+        ("atom_t1", lambda a: np.concatenate([a, a[:5]])),
+        ("atom_t2", lambda a: a[:-1]),
+        ("atom_norms", lambda a: a[:-3]),
+        ("subspace", lambda a: a[:-2]),
+    ],
+    ids=["atom_t1-5-extra", "atom_t2-1-short", "atom_norms-3-short", "subspace-2-rows-short"],
+)
+def test_dictionary_whose_tensors_disagree_is_a_one_line_runtime_error(
+    pipeline, tmp_path, name, resize
+):
+    root, cfg = pipeline
+    shutil.copytree(root / "dict", tmp_path / "dict")
+    path = tmp_path / "dict" / f"{name}.mrfb"
+    write_tensor(path, resize(read_tensor(path)))
+    r = run_cli(
+        "reconstruct", "--config", cfg, "--data", root / "sim", "--dict", tmp_path / "dict",
+        "--method", "bp-dm", "--out", tmp_path / "rec",
+    )
+    assert r.returncode == 1
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1 and str(tmp_path / "dict") in lines[0] and name in lines[0], r.stderr
+
+
+@pytest.mark.parametrize(
     "where, name, damage",
     [
         ("dict", "dict.json", "cut"),

@@ -7,7 +7,7 @@ import pytest
 
 from mrfrecon import neuralprox
 from mrfrecon.acquisition import AcquisitionOperator, make_trajectory, simulate_coil_maps
-from mrfrecon.autodiff import Tape, c2r_channels, r2c_channels
+from mrfrecon.autodiff import Adam, Tape, c2r_channels, r2c_channels
 from mrfrecon.dictionary import build_dictionary, compute_subspace
 from mrfrecon.epg import SequenceParams, sinusoidal_flip_schedule
 from mrfrecon.errors import TrainingFailure
@@ -453,6 +453,102 @@ def test_non_finite_gradient_stops_training_naming_a_parameter_before_any_update
         pretrain_encoder([(y, truth)], op, enc, TrainConfig(epochs=2, seed=0))
     for p, v in zip(enc.parameters(), before):
         npt.assert_array_equal(p.value, v)
+
+
+def _per_sample_reference_loop(samples, params, cfg, loss_of):
+    """The trainers' epoch loop as it was: Adam on `params`, each epoch one
+    step per sample in rng.permutation order, and its mean loss."""
+    opt = Adam(params, lr=cfg.lr)
+    rng = np.random.default_rng(cfg.seed)
+    history = []
+    for _ in range(cfg.epochs):
+        total = 0.0
+        for idx in rng.permutation(len(samples)):
+            tape = Tape()
+            loss = loss_of(tape, *samples[idx])
+            opt.step(tape.backward(loss))
+            total += float(loss.value)
+        history.append(total / len(samples))
+    return history
+
+
+def _random_dataset(op, rng, count):
+    n = op.matrix
+    return [
+        (
+            rng.standard_normal(op.kspace_shape) + 1j * rng.standard_normal(op.kspace_shape),
+            QMaps(
+                t1_ms=rng.uniform(300, 2500, (n, n)),
+                t2_ms=rng.uniform(30, 400, (n, n)),
+                pd=rng.uniform(0.2, 1.0, (n, n)),
+                mask=np.ones((n, n), bool),
+            ),
+        )
+        for _ in range(count)
+    ]
+
+
+def test_pretrain_encoder_equals_the_per_sample_reference_loop():
+    op = tiny_operator(seed=15, coils=2)
+    dataset = _random_dataset(op, np.random.default_rng(15), 3)
+    cfg = TrainConfig(epochs=4, lr=1e-2, seed=7)
+    encoder, history = pretrain_encoder(dataset, op, EncoderNet(s=2, width=4, seed=15), cfg)
+
+    ref = EncoderNet(s=2, width=4, seed=15)
+
+    def loss_of(tape, x0, truth):
+        m = ref.apply(tape, tape.constant(x0))
+        return tape.weighted_sum(neuralprox._map_terms(tape, m, truth), list(cfg.beta))
+
+    samples = [(c2r_channels(op.backproject(y, equalize=False)), truth) for y, truth in dataset]
+    npt.assert_array_equal(history, _per_sample_reference_loop(samples, ref.parameters(), cfg, loss_of))
+    for p, q in zip(encoder.parameters(), ref.parameters()):
+        npt.assert_array_equal(p.value, q.value)
+
+
+def test_train_unrolled_equals_the_per_sample_reference_loop():
+    op = tiny_operator(seed=16, coils=2)
+    dataset = _random_dataset(op, np.random.default_rng(16), 3)
+    cfg = TrainConfig(epochs=3, lr=1e-2, seed=8)
+    model, ref = tiny_model(seed=16), tiny_model(seed=16)
+    for m in (model, ref):
+        m.log_alpha.value[:] = np.log(0.5 / op.estimate_operator_norm(iters=20))
+    _, history = train_unrolled(dataset, op, model, cfg)
+
+    def loss_of(tape, y, x0, truth):
+        return unrolled_loss_nodes(tape, ref, y, op, x0, truth, cfg)[0]
+
+    samples = [(y, op.backproject(y, equalize=False), truth) for y, truth in dataset]
+    params = ref.trainable_parameters()
+    npt.assert_array_equal(history, _per_sample_reference_loop(samples, params, cfg, loss_of))
+    for p, q in zip(model.trainable_parameters(), params):
+        npt.assert_array_equal(p.value, q.value)
+
+
+@pytest.mark.parametrize("last", [np.nan, np.inf, 2e6])
+def test_an_epoch_loss_non_finite_or_above_1e6_times_the_first_stops_training(last):
+    losses = iter([1.0, 1e6, last])  # one single-sample step per epoch
+
+    def loss_of(tape, sel):
+        return tape.constant(np.array(next(losses)))
+
+    with pytest.raises(TrainingFailure, match="diverged"):
+        neuralprox._fit(Adam([]), np.random.default_rng(0), 3, 1, 1, loss_of)
+
+
+@pytest.mark.parametrize("stage", ["decoder", "encoder", "unrolled"])
+def test_every_training_stage_stops_on_the_divergence_rule(stage, small_dict, monkeypatch):
+    monkeypatch.setattr(neuralprox, "_step", lambda opt, loss_of, sel: np.nan)
+    op = tiny_operator(seed=17)
+    dataset = _random_dataset(op, np.random.default_rng(17), 1)
+    cfg = TrainConfig(epochs=2)
+    with pytest.raises(TrainingFailure, match="diverged"):
+        if stage == "decoder":
+            pretrain_bloch_decoder(*small_dict, epochs=2, n_offgrid=20, val_size=10, threshold=np.inf)
+        elif stage == "encoder":
+            pretrain_encoder(dataset, op, EncoderNet(s=2, width=4), cfg)
+        else:
+            train_unrolled(dataset, op, tiny_model(seed=17), cfg)
 
 
 def test_decoder_pretraining_small_dictionary(short_seq):

@@ -6,6 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import naive_dft2
+from helpers import TapAxisCartesianPlan
 
 from mrfrecon import nufft
 from mrfrecon.acquisition import make_trajectory
@@ -198,6 +199,27 @@ def test_off_grid_h_and_hh_match_mix_on_grid(mixing, frames, coils):
     lhs = np.vdot(y, plan.forward(x, m))
     rhs = np.vdot(plan.adjoint(y, m), x)
     assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+@pytest.mark.parametrize("coils", [1, 3])
+@pytest.mark.parametrize("frames", [12, 70])
+@pytest.mark.parametrize("kind", ["cartesian_full", "cartesian_lines"])
+def test_one_tap_cartesian_tables_equal_the_tap_axis_plan_bit_for_bit(kind, frames, coils):
+    # 70 frames cross a _FRAME_CHUNK boundary
+    n, s = 16, 3
+    rng = np.random.default_rng(frames + coils)
+    points = make_trajectory(kind, n, frames=frames).points
+    plan, ref = nufft.make_plan(n, points), TapAxisCartesianPlan(n, points)
+    assert isinstance(plan, nufft.CartesianExactPlan) and plan.width == 1
+    assert plan.flat_index.shape == plan.weights.shape == (frames, plan.d)
+    m = rng.standard_normal((frames, s))
+    x = rng.standard_normal((s, coils, n, n)) + 1j * rng.standard_normal((s, coils, n, n))
+    y = rng.standard_normal((frames, coils, plan.d)) + 1j * rng.standard_normal(
+        (frames, coils, plan.d)
+    )
+    npt.assert_array_equal(plan.forward(x, m), ref.forward(x, m))
+    npt.assert_array_equal(plan.adjoint(y, m), ref.adjoint(y, m))
+    npt.assert_array_equal(plan.normal_kernel(m), ref.normal_kernel(m))
 
 
 # ---------------------------------------------------------------------------
